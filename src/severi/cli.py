@@ -26,7 +26,7 @@ from . import __version__
 from .calibrate import CalibrationError, ensure_calibrated, run_calibration
 from .crosscheck import reducible_count
 from .integrand import P2_FIXED, P3, IntegrandSpec
-from .localization import count_nodal
+from .localization import count_nodal, nodal_count
 from .node_polys import default_cache_dir, load, node_polynomial_cached
 from .partitions import enumerate_fixed_points
 from .weights import Specialization
@@ -101,7 +101,7 @@ def cmd_count(args) -> int:
     cfg = _config(args, default_verify=False)
     ensure_calibrated(cfg.seed)
     t0 = time.time()
-    value = count_nodal(
+    result = nodal_count(
         args.delta,
         args.degree,
         cfg.mode,
@@ -111,7 +111,7 @@ def cmd_count(args) -> int:
         jobs=cfg.jobs,
     )
     elapsed = time.time() - t0
-    spec_used = cfg.specialization or Specialization.default()
+    value = result.value
     fp_counts = {i: len(enumerate_fixed_points(i)) for i in range(args.delta + 1)}
     payload = {
         "schema_version": SCHEMA_VERSION,
@@ -121,7 +121,7 @@ def cmd_count(args) -> int:
         "mode": cfg.mode,
         "count": value,
         "fixed_points": fp_counts,
-        "specialization": spec_used.describe(),
+        "specialization": result.specialization.describe(),
         "seed": cfg.seed,
         "verified": cfg.verify,
     }
@@ -156,7 +156,7 @@ def cmd_poly(args) -> int:
         "degree": rec.polynomial.degree(),
         "sample_ds": list(rec.sample_ds),
         "seed": rec.seed,
-        "verified": cfg.verify,
+        "verified": rec.verified,
     }
     lines = [
         f"N_{args.delta}(d) = {rec.polynomial}",

@@ -18,6 +18,11 @@ Because the reduction of xi^{r-1+t} contributes exactly the degree-t Segre
 coefficient of the direct image times H^t, only the xi-slots delta..delta+3
 of the four-factor product survive (delta..delta+cap without the H^4 rule),
 which keeps construction cheap even for large d.
+
+The count path never builds this integrand: ``localization`` evaluates the
+same factors chart by chart.  ``build_integrand`` is kept as the reference
+the tests compare that evaluator against; ``bps_coefficients``,
+``segre_coeffs`` and ``incidence_terms`` serve both.
 """
 
 from __future__ import annotations
@@ -172,6 +177,16 @@ class IntegrandSpec:
         return 3 + 2 * self.i
 
 
+def incidence_terms(spec: IntegrandSpec) -> list[tuple[int, int, int]]:
+    """The incidence factor as (xi exponent s, H exponent j, coefficient) terms.
+
+    The common xi^(n-3) is accounted for in the final Segre assembly.
+    """
+    if spec.mode == P3:
+        return [(s, 3 - s, comb(spec.n, 3 - s) * spec.d ** (3 - s)) for s in range(4)]
+    return [(0, 3, 1)]
+
+
 def symbol_table(i: int) -> SymbolTable:
     syms = [Symbol("H", 1, 4)]
     syms += [Symbol(f"L{k}", k) for k in range(1, i + 1)]
@@ -201,6 +216,9 @@ def _xi_mul(a, b, table, slot_rules, xi_max):
 
 def build_integrand(spec: IntegrandSpec, rules: TruncationRules | None = None, series_bound: int | None = None) -> GradedPoly:
     """The class to localize, as a GradedPoly in H, L1..Li, T1..T2i.
+
+    This symbolic form is the test reference for the factorized evaluator in
+    ``localization``, which computes the same integrals without building it.
 
     ``rules`` defaults to the H^4 rule plus the dimension cap.  The cap is
     part of the definition: equivariant representatives of classes above the
@@ -239,15 +257,10 @@ def build_integrand(spec: IntegrandSpec, rules: TruncationRules | None = None, s
     f1 = zero_list()
     f1[0] = c_tangent
 
-    # factor 2: incidence conditions; the common xi^{n-3} is accounted for
-    # in the final Segre assembly
+    # factor 2: incidence conditions
     f2 = zero_list()
-    if spec.mode == P3:
-        for s in range(0, 4):
-            j = 3 - s
-            f2[s] = GradedPoly.monomial(table, {"H": j}, comb(spec.n, j) * d**j)
-    else:
-        f2[0] = GradedPoly.monomial(table, {"H": 3})
+    for s, j, c in incidence_terms(spec):
+        f2[s] = GradedPoly.monomial(table, {"H": j}, c)
 
     # factor 3: c_i of the twisted tautological bundle (i <= delta <= xi_max)
     f3 = zero_list()

@@ -14,7 +14,9 @@ is 2*delta).
 
 Records are persisted as one JSON file per (delta, mode), keyed also by the
 package version; coefficients are exact ``p/q`` strings so the round trip
-is lossless.  Writes go through a temp file and an atomic rename.
+is lossless.  Writes go through a temp file and an atomic rename.  A record
+stores whether its samples were verified under a second specialization, and
+a request with verification on treats an unverified record as a miss.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .integrand import P3, IntegrandSpec, MODES
 from .localization import count_nodal
 from .unipoly import UniPoly, lagrange_interpolate
 
-CACHE_VERSION = "severi-1"
+CACHE_VERSION = "severi-2"
 
 
 @dataclass(frozen=True)
@@ -41,6 +43,7 @@ class NodePolynomialRecord:
     check_ds: tuple[int, ...]
     seed: int
     degree_bound_checked: bool
+    verified: bool = False
     created_at: float = field(default_factory=time.time)
     cache_version: str = CACHE_VERSION
 
@@ -115,6 +118,7 @@ def node_polynomial(
         check_ds=tuple(check_ds),
         seed=seed,
         degree_bound_checked=True,
+        verified=verify,
     )
 
 
@@ -146,6 +150,7 @@ def store(record: NodePolynomialRecord, cache_dir: str | None = None) -> str:
         "check_ds": list(record.check_ds),
         "seed": record.seed,
         "degree_bound_checked": record.degree_bound_checked,
+        "verified": record.verified,
         "created_at": record.created_at,
     }
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".node-poly-", suffix=".tmp")
@@ -179,6 +184,7 @@ def load(delta: int, mode: str, cache_dir: str | None = None) -> NodePolynomialR
             check_ds=tuple(payload["check_ds"]),
             seed=payload["seed"],
             degree_bound_checked=payload["degree_bound_checked"],
+            verified=payload["verified"],
             created_at=payload["created_at"],
         )
     except (OSError, ValueError, KeyError, TypeError):
@@ -195,8 +201,12 @@ def node_polynomial_cached(
     jobs: int = 1,
     progress=None,
 ) -> NodePolynomialRecord:
+    """The cached record, or a fresh one that replaces it.
+
+    A request with ``verify`` on never returns an unverified record.
+    """
     rec = load(delta, mode, cache_dir)
-    if rec is not None:
+    if rec is not None and (rec.verified or not verify):
         return rec
     rec = node_polynomial(delta, mode, seed=seed, verify=verify, jobs=jobs, progress=progress)
     store(rec, cache_dir)

@@ -154,16 +154,20 @@ def taut_weights(fp: FixedPoint, d: int) -> list[Character]:
     """
     if d < 1:
         raise ValueError("degree must be >= 1")
-    out: list[Character] = []
-    for m, mu in zip(plane_points(fp.plane), fp.tri):
-        if not mu:
-            continue
-        t1, t2 = chart_weights(fp.plane, m)
-        w0 = char_pow(char_ratio(0, m), d)
-        for a, b in cells(mu):
-            w = char_mul(w0, char_mul(char_pow(t1, a), char_pow(t2, b)))
-            out.append(_balanced(w))
-    return out
+    return [
+        taut_cell_weight(fp.plane, m, cell, d)
+        for m, mu in zip(plane_points(fp.plane), fp.tri)
+        for cell in cells(mu)
+    ]
+
+
+def taut_cell_weight(plane: int, point: int, cell: tuple[int, int], d: int) -> Character:
+    """Weight of the chart monomial u^a v^b of ``cell`` = (a, b) at the plane
+    point, twisted by the O_S(d) fiber weight there."""
+    t1, t2 = chart_weights(plane, point)
+    a, b = cell
+    w0 = char_pow(char_ratio(0, point), d)
+    return _balanced(char_mul(w0, char_mul(char_pow(t1, a), char_pow(t2, b))))
 
 
 def h_weight(plane: int) -> Character:

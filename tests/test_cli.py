@@ -1,6 +1,7 @@
 import json
 
 import pytest
+from helpers import reference_count
 
 import severi.calibrate as calibrate
 import severi.localization as localization
@@ -60,6 +61,20 @@ def test_count_explicit_spec(capsys):
     assert code == 0 and out.strip() == "140"
 
 
+def test_count_reports_the_specialization_used(capsys):
+    # (2,3,5,7) is non-generic at i = 3, so the count resamples; the record
+    # must name the specialization that produced it, and that one must
+    # reproduce the count when given back explicitly
+    _, out, _ = run(capsys, "count", "--delta", "3", "--degree", "4", "--json")
+    first = json.loads(out)
+    assert first["specialization"] != ["2", "3", "5", "7"]
+    spec = ",".join(first["specialization"])
+    _, out, _ = run(capsys, "count", "--delta", "3", "--degree", "4", "--json", "--spec", spec)
+    again = json.loads(out)
+    assert again["count"] == first["count"] == reference_count(3, 4)
+    assert again["specialization"] == first["specialization"]
+
+
 def test_invalid_spec_exits_2(capsys):
     code, _, err = run(capsys, "count", "--delta", "1", "--degree", "2", "--spec", "1,1,2,3")
     assert code == 2
@@ -97,6 +112,19 @@ def test_poly_json(capsys, tmp_path):
     assert code == 0
     assert payload["degree"] == 9
     assert payload["coefficients"] == payload["ordered_coefficients"]
+
+
+def test_poly_json_reports_the_record_verified_flag(capsys, tmp_path):
+    def poly(flag):
+        args = ("poly", "--delta", "0", "--json", "--cache-dir", str(tmp_path), flag)
+        _, out, _ = run(capsys, *args)
+        return json.loads(out)["verified"]
+
+    assert poly("--no-verify") is False
+    # an unverified cached record does not answer a verified request
+    assert poly("--verify") is True
+    # a verified cached record answers an unverified request, and says so
+    assert poly("--no-verify") is True
 
 
 def test_check_calibration_section(capsys):

@@ -3,15 +3,18 @@ from fractions import Fraction
 
 import pytest
 
-from severi.integrand import IntegrandSpec, P2_FIXED, build_integrand
+import severi.localization as localization
+from severi.integrand import IntegrandSpec, P2_FIXED, P3, build_integrand
 from severi.localization import (
     _compile_terms,
+    _plane_integral,
+    _reference_integral,
     _sum_over_points,
     count_nodal,
     integrate,
 )
-from severi.partitions import enumerate_fixed_points
-from severi.weights import Specialization
+from severi.partitions import enumerate_fixed_points, partitions
+from severi.weights import NonGenericSpecialization, Specialization
 
 SP = Specialization.default()
 
@@ -86,3 +89,42 @@ def test_integral_result_echo():
     res = integrate(IntegrandSpec(i=1, delta=2, d=3, mode=P2_FIXED), SP)
     assert (res.i, res.delta, res.d, res.mode) == (1, 2, 3, P2_FIXED)
     assert res.spec_used is SP
+
+
+@pytest.mark.parametrize(
+    "mode, i, h4_rule, values",
+    [(mode, i, True, None) for mode in (P3, P2_FIXED) for i in range(6)]
+    + [
+        (mode, i, False, (Fraction(1, 2), 3, Fraction(7, 3), 5))
+        for mode in (P3, P2_FIXED)
+        for i in range(4)
+    ],
+)
+def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4_rule, values):
+    sp = Specialization.from_seed(11) if values is None else Specialization(values)
+    s = IntegrandSpec(i=i, delta=5, d=4, mode=mode)
+    res = integrate(s, sp, h4_rule=h4_rule)
+    assert res.value == _reference_integral(s, sp, h4_rule)
+    assert res.fixed_point_count == len(enumerate_fixed_points(i))
+
+    # reversed plane order and a shuffled partition order at every chart
+    rng = random.Random(i)
+
+    def shuffled_partitions(n):
+        parts = list(partitions(n))
+        rng.shuffle(parts)
+        return parts
+
+    monkeypatch.setattr(localization, "partitions", shuffled_partitions)
+    assert sum(_plane_integral(k, s, sp, h4_rule) for k in (3, 2, 1, 0)) == res.value
+
+
+def test_non_generic_raises_where_the_reference_does():
+    # the default specialization makes a Hilbert tangent weight vanish at i=3
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    with pytest.raises(NonGenericSpecialization):
+        _reference_integral(s, SP)
+    with pytest.raises(NonGenericSpecialization):
+        integrate(s, SP)
+    with pytest.raises(NonGenericSpecialization):
+        integrate(s, SP, jobs=2)

@@ -1,6 +1,7 @@
 import json
 import os
 import threading
+from fractions import Fraction
 
 import pytest
 from helpers import ORDERED_REFERENCE
@@ -60,6 +61,40 @@ def test_store_load_roundtrip(tmp_path):
     assert back is not None
     assert back.polynomial == rec.polynomial
     assert back.sample_ds == rec.sample_ds
+
+
+def test_verified_request_recomputes_an_unverified_record(tmp_path):
+    unverified = node_polynomial_cached(0, cache_dir=str(tmp_path))
+    assert not unverified.verified
+    assert load(0, "p3", str(tmp_path)) == unverified
+    rec = node_polynomial_cached(0, cache_dir=str(tmp_path), verify=True)
+    assert rec.verified and rec != unverified
+    assert load(0, "p3", str(tmp_path)) == rec
+
+
+def test_unverified_request_accepts_a_verified_record(tmp_path):
+    rec = node_polynomial_cached(0, cache_dir=str(tmp_path), verify=True)
+    assert rec.verified
+    assert node_polynomial_cached(0, cache_dir=str(tmp_path)) == rec
+
+
+def test_fixed_plane_log_coefficients_are_quadratic_in_d():
+    # Goettsche's conjecture (proved by Tzeng and by Kool-Shende-Thomas): the
+    # x^k coefficient of log(1 + sum_delta N_delta(d) x^delta) is linear in
+    # L^2, L.K, K^2 and c_2, so of degree at most 2 in d on the plane
+    top = 4
+    u = [UniPoly.zero()]
+    u += [node_polynomial(delta, P2_FIXED).polynomial for delta in range(1, top + 1)]
+    assert [p.degree() for p in u[1:]] == [2 * delta for delta in range(1, top + 1)]
+    log = [UniPoly.zero()] * (top + 1)
+    power = [UniPoly([1])] + [UniPoly.zero()] * top  # u^0
+    for m in range(1, top + 1):
+        power = [
+            sum((power[a] * u[k - a] for a in range(k + 1)), UniPoly.zero())
+            for k in range(top + 1)
+        ]
+        log = [acc + p.scaled(Fraction((-1) ** (m + 1), m)) for acc, p in zip(log, power)]
+    assert [p.degree() for p in log[1:]] == [2] * top
 
 
 def test_load_version_mismatch(tmp_path):

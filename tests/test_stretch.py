@@ -1,8 +1,9 @@
-"""Opt-in stretch validation beyond the acceptance targets.
+"""Stretch validation beyond the acceptance targets.
 
-Enable with ``SEVERI_STRETCH=1 pytest tests/test_stretch.py``.  The delta=5
-polynomial reconstruction takes about two minutes on four cores; the
-delta=6 checks are spot values only.
+The delta=6 spot values always run (about half a second each).  The delta=5
+polynomial reconstruction takes about 5 s on two cores and stays opt-in
+while the suite is over its time budget; enable it with
+``SEVERI_STRETCH=1 pytest tests/test_stretch.py``.
 """
 
 import os
@@ -25,7 +26,6 @@ def test_delta5_polynomial_matches_reference():
     assert rec.ordered_polynomial() == ORDERED_REFERENCE[5]
 
 
-@stretch
 @pytest.mark.parametrize("d", [5, 6])
 def test_delta6_spot_values(d):
     expected = ORDERED_REFERENCE[6](d) / factorial(6)
