@@ -26,10 +26,10 @@ from . import __version__
 from .calibrate import CalibrationError, ensure_calibrated, run_calibration
 from .crosscheck import reducible_count
 from .integrand import P2_FIXED, P3, IntegrandSpec
-from .localization import count_nodal, nodal_count
+from .localization import DEFAULT_RETRIES, count_nodal, nodal_count
 from .node_polys import default_cache_dir, load, node_polynomial_cached
 from .partitions import enumerate_fixed_points
-from .weights import Specialization
+from .weights import NonGenericSpecialization, Specialization
 
 SCHEMA_VERSION = 1
 
@@ -100,16 +100,26 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 def cmd_count(args) -> int:
     cfg = _config(args, default_verify=False)
     ensure_calibrated(cfg.seed)
+    explicit = cfg.specialization is not None
     t0 = time.time()
-    result = nodal_count(
-        args.delta,
-        args.degree,
-        cfg.mode,
-        specialization=cfg.specialization,
-        seed=cfg.seed,
-        verify=cfg.verify,
-        jobs=cfg.jobs,
-    )
+    try:
+        # an explicit --spec is used as given or not at all
+        result = nodal_count(
+            args.delta,
+            args.degree,
+            cfg.mode,
+            specialization=cfg.specialization,
+            seed=cfg.seed,
+            verify=cfg.verify,
+            jobs=cfg.jobs,
+            retries=0 if explicit else DEFAULT_RETRIES,
+        )
+    except NonGenericSpecialization as exc:
+        if not explicit:
+            raise
+        raise NonGenericSpecialization(
+            f"{exc}; choose other --spec values or omit --spec"
+        ) from None
     elapsed = time.time() - t0
     value = result.value
     fp_counts = {i: len(enumerate_fixed_points(i)) for i in range(args.delta + 1)}
@@ -135,6 +145,8 @@ def cmd_count(args) -> int:
 
 
 def cmd_poly(args) -> int:
+    if args.spec is not None:
+        raise ValueError("poly does not take --spec: its samples use seeded specializations")
     cfg = _config(args, default_verify=True)
     ensure_calibrated(cfg.seed)
     rec = node_polynomial_cached(

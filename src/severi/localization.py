@@ -10,7 +10,7 @@ incidence factor, the Segre coefficient, the power of H and the
 Grassmannian Euler factor depend on the plane alone.
 
 So the integrand is never built.  For each chart (V_k, P_m) the evaluator
-sums, over partitions mu with |mu| <= i, the local factor
+sums, over partitions mu of each size n, the local factor
 
     prod_{hilb w} (1 + eps w) / w  *  prod_{cells c} (xi + eps w_c) / (1 + xi + eps w_c)
 
@@ -19,19 +19,28 @@ degree; the series for one partition size is stored as an integer
 polynomial over one common denominator.  The sum over tripartitions of size
 i is then the q^i coefficient of the product of the plane's three chart
 series, q counting partition size.  Cohomological degree exactly
-3 + 2i, the dimension, makes every coefficient the integral reads lie on
-the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate to
-zero and higher ones are cut by the degree cap.  Those few coefficients are
-weighted by the incidence term, the Segre coefficient rho_t and the power
-of H (with H^4 = 0 only under the H^4 rule), divided by the Grassmannian
-Euler factor and summed over the four planes.
+3 + 2i, the dimension, makes every coefficient the integral for i reads lie
+on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
+to zero and higher ones are cut by the degree cap.  Those few coefficients
+are weighted by the incidence term, the Segre coefficient rho_t and the
+power of H (with H^4 = 0 only under the H^4 rule), divided by the
+Grassmannian Euler factor and summed over the four planes.
+
+The chart series do not depend on i, only their truncation does, so one
+``integrate`` call evaluates a whole count: for the largest i it builds the
+three chart series of a plane for sizes 0..i once, forms each product of
+the first two charts' size-a and size-b entries once, and reads every
+integral i' <= i off them with its own readout weights.  Nothing is kept
+between calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
 changes nothing.  A vanishing tangent weight raises
-``NonGenericSpecialization`` for the caller to resample.  Planes are
-independent work units and the optional process pool evaluates them in
-parallel; exact sums make any order give the identical result.
+``NonGenericSpecialization`` for the caller to resample; every plane unit
+checks the tangent weights of all twelve charts before it forms any series,
+so a non-generic draw fails at once everywhere.  Planes are independent
+work units and the optional process pool evaluates them in parallel; exact
+sums make any order give the identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
 for i = 0..delta with the unitriangular-inverse weights; the combination is
@@ -46,7 +55,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
 from math import lcm, prod
@@ -67,6 +76,7 @@ from .partitions import FixedPoint, enumerate_fixed_points, partitions, plane_po
 from .weights import (
     NonGenericSpecialization,
     Specialization,
+    char_ratio,
     chart_weights,
     gr_tangent_weights,
     h_weight,
@@ -81,6 +91,7 @@ DEFAULT_RETRIES = 8
 @dataclass(frozen=True)
 class IntegralResult:
     value: Fraction
+    values: tuple[Fraction, ...]
     spec_used: Specialization
     fixed_point_count: int
     i: int
@@ -114,6 +125,22 @@ def _product(p, q, top: int):
     ]
 
 
+def _times_eps_poly(g, c, top: int):
+    """g * c for a polynomial c in eps alone, truncated to total degree <= top."""
+    c_rev = c[::-1]
+    pad = [0] * (len(c) - 1)
+    out = []
+    for x, row in enumerate(g):
+        padded = pad + row
+        out.append(
+            [
+                sum(map(mul, padded[e : e + len(c)], c_rev)) if x + e <= top else 0
+                for e in range(len(row))
+            ]
+        )
+    return out
+
+
 def _times_cell(g, w: int, top: int):
     """g * (xi + eps w) / (1 + xi + eps w), which is g - g / (1 + xi + eps w)."""
     quotient = [[0] * len(row) for row in g]
@@ -128,8 +155,40 @@ def _times_cell(g, w: int, top: int):
     return [[a - b for a, b in zip(row, qrow)] for row, qrow in zip(g, quotient)]
 
 
+def _tangent_exponents(top_size: int) -> dict:
+    """Each partition of size 1..top_size with its Hilbert tangent weights as
+    exponent pairs (a, b), standing for t1^a t2^b at any chart.
+
+    The weights are products of powers of the chart characters t1, t2, so
+    evaluating them once at the independent characters lambda_0/lambda_1
+    and lambda_0/lambda_2 reads the exponents off for every chart.
+    """
+    # t1^a t2^b is then the character (a + b, -a, -b, 0)
+    t1, t2 = char_ratio(0, 1), char_ratio(0, 2)
+    return {
+        mu: [(-w[1], -w[2]) for w in hilb_tangent_weights(mu, t1, t2)]
+        for n in range(1, top_size + 1)
+        for mu in partitions(n)
+    }
+
+
+def _chart_tangents(plane: int, point: int, exponents: dict, value) -> dict:
+    """Hilbert tangent weight values of every partition at the chart
+    (V_plane, P_point); raises if one of them vanishes."""
+    tangents = {}
+    if not exponents:  # i = 0, as in every count of the calibration gate
+        return tangents
+    v1, v2 = map(value, chart_weights(plane, point))
+    for mu, pairs in exponents.items():
+        ws = [a * v1 + b * v2 for a, b in pairs]
+        if 0 in ws:
+            raise NonGenericSpecialization("non-generic specialization")
+        tangents[mu] = ws
+    return tangents
+
+
 def _chart_series(
-    plane: int, point: int, spec: IntegrandSpec, value, rows: int, cols: int, top: int
+    plane: int, point: int, spec: IntegrandSpec, value, tangents, rows: int, cols: int, top: int
 ):
     """(numerator grid, denominator) of the chart series for sizes 0..i.
 
@@ -137,30 +196,26 @@ def _chart_series(
     other two charts bring total degree at least i - n, so it is kept only
     up to total degree top - (i - n).
     """
-    t1, t2 = chart_weights(plane, point)
     one = [[0] * cols for _ in range(rows)]
     one[0][0] = 1
     cell_products = {(): one}
     series = [(one, 1)]
     for n in range(1, spec.i + 1):
         bound = top - (spec.i - n)
-        tangents = {}
-        for mu in partitions(n):
+        mus = list(partitions(n))
+        for mu in mus:
             # mu is its parent with the last cell of its last row added
             a, b = mu[-1] - 1, len(mu) - 1
             parent = mu[:-1] + ((a,) if a else ())
             w = value(taut_cell_weight(plane, point, (a, b), spec.d))
             cell_products[mu] = _times_cell(cell_products[parent], w, bound)
-            tangents[mu] = [value(c) for c in hilb_tangent_weights(mu, t1, t2)]
-            if 0 in tangents[mu]:
-                raise NonGenericSpecialization("non-generic specialization")
-        denominator = lcm(*(prod(ws) for ws in tangents.values()))
+        denominator = lcm(*(prod(tangents[mu]) for mu in mus))
         numerator = [[0] * cols for _ in range(rows)]
-        for mu, ws in tangents.items():
-            chern = [denominator // prod(ws)] + [0] * (cols - 1)
-            for v in ws:
-                chern = [c + v * lower for c, lower in zip(chern, [0] + chern)]
-            term = _product(cell_products[mu], [chern], bound)
+        for mu in mus:
+            chern = [denominator // prod(tangents[mu])]
+            for v in tangents[mu]:
+                chern = [c + v * lower for c, lower in zip(chern + [0], [0] + chern)]
+            term = _times_eps_poly(cell_products[mu], chern, bound)
             for row, trow in zip(numerator, term):
                 row[:] = map(sum, zip(row, trow))
         series.append((numerator, denominator))
@@ -187,10 +242,11 @@ def _readout_weights(spec: IntegrandSpec, h: int, h4_rule: bool) -> dict[int, Fr
     return weights
 
 
-def _plane_integral(
+def _plane_integrals(
     plane: int, spec: IntegrandSpec, specialization: Specialization, h4_rule: bool
-) -> Fraction:
-    """Contribution of the fixed points on the plane V_plane to one integral."""
+) -> list[Fraction]:
+    """Contributions of the fixed points on the plane V_plane to the
+    integrals for i = 0..spec.i, read off one set of chart series."""
     # integer torus values: the contribution is homogeneous of degree zero
     scale = lcm(*(v.denominator for v in specialization.values))
     scaled = [(v * scale).numerator for v in specialization.values]
@@ -201,20 +257,44 @@ def _plane_integral(
     gr = [value(w) for w in gr_tangent_weights(plane)]
     if 0 in gr:
         raise NonGenericSpecialization("non-generic specialization")
-    i = spec.i
-    top = spec.delta + 2 * i
-    weights = _readout_weights(spec, value(h_weight(plane)), h4_rule)
-    rows, cols = max(weights) + 1, top - min(weights) + 1
-    charts = [_chart_series(plane, m, spec, value, rows, cols, top) for m in plane_points(plane)]
-    total = Fraction(0)
-    for a in range(i + 1):
-        for b in range(i + 1 - a):
-            (p1, den1), (p2, den2), (p3, den3) = charts[0][a], charts[1][b], charts[2][i - a - b]
-            pair = _product(p1, p2, top - (i - a - b))
-            p3_rev = [row[::-1] for row in p3]
-            num = sum(w * _coefficient(pair, p3_rev, x, top - x) for x, w in weights.items())
-            total += num / (den1 * den2 * den3)
-    return total / prod(gr)
+    # every chart of every plane, so that a non-generic draw fails every
+    # plane unit before any of them does real work
+    exponents = _tangent_exponents(spec.i)
+    tangents = {
+        (k, m): _chart_tangents(k, m, exponents, value) for k in range(4) for m in plane_points(k)
+    }
+    h = value(h_weight(plane))
+    weights = [_readout_weights(replace(spec, i=i), h, h4_rule) for i in range(spec.i + 1)]
+    top = spec.delta + 2 * spec.i
+    rows = max(max(w) for w in weights) + 1
+    cols = max(spec.delta + 2 * i - min(w) for i, w in enumerate(weights)) + 1
+    charts = [
+        _chart_series(plane, m, spec, value, tangents[plane, m], rows, cols, top)
+        for m in plane_points(plane)
+    ]
+    # Z1[a] * Z2[b] feeds every i >= a + b; the largest i needs it up to
+    # total degree top - (spec.i - a - b)
+    pairs = {
+        (a, b): _product(charts[0][a][0], charts[1][b][0], top - (spec.i - a - b))
+        for a in range(spec.i + 1)
+        for b in range(spec.i + 1 - a)
+    }
+    thirds = [[row[::-1] for row in p3] for p3, _ in charts[2]]
+    euler = prod(gr)
+    values = []
+    for i, read in enumerate(weights):
+        total = Fraction(0)
+        for (a, b), pair in pairs.items():
+            c = i - a - b
+            if c < 0:
+                continue
+            num = sum(
+                w * _coefficient(pair, thirds[c], x, spec.delta + 2 * i - x)
+                for x, w in read.items()
+            )
+            total += Fraction(num, charts[0][a][1] * charts[1][b][1] * charts[2][c][1])
+        values.append(total / euler)
+    return values
 
 
 def integrate(
@@ -224,11 +304,17 @@ def integrate(
     h4_rule: bool = True,
     jobs: int = 1,
 ) -> IntegralResult:
-    """Evaluate one localized integral at a fixed generic specialization.
+    """Evaluate the localized integrals for i = 0..spec.i at one fixed
+    generic specialization, all from one set of chart series per plane.
 
-    Raises NonGenericSpecialization if a tangent weight vanishes; the caller
-    is responsible for resampling (see ``count_nodal``).  With ``jobs`` > 1
-    and at least 64 fixed points the four planes go to a process pool.
+    ``values[i]`` is the integral over the length-i relative Hilbert scheme
+    and ``value`` the last of them; ``fixed_point_count`` counts the fixed
+    points at spec.i.  One call evaluates everything a count needs.
+
+    Raises NonGenericSpecialization if a tangent weight at some size
+    <= spec.i vanishes; the caller is responsible for resampling (see
+    ``nodal_count``).  With ``jobs`` > 1 and at least 64 fixed points at
+    spec.i the four planes go to one process pool.
     """
     i = spec.i
     sizes = [len(list(partitions(n))) for n in range(i + 1)]
@@ -237,12 +323,14 @@ def integrate(
     )
     args = (range(4), repeat(spec), repeat(specialization), repeat(h4_rule))
     if jobs <= 1 or points < 64:
-        parts = list(map(_plane_integral, *args))
+        parts = list(map(_plane_integrals, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(_plane_integral, *args))
+            parts = list(pool.map(_plane_integrals, *args))
+    values = tuple(sum(column, Fraction(0)) for column in zip(*parts))
     return IntegralResult(
-        value=sum(parts, Fraction(0)),
+        value=values[-1],
+        values=values,
         spec_used=specialization,
         fixed_point_count=points,
         i=i,
@@ -353,27 +441,28 @@ def _reference_integral(
 
 
 def _run_all_integrals(delta, d, mode, specialization, h4_rule, jobs, retries, seed):
-    """All integrals i = 0..delta under one specialization, resampling on
-    a non-generic draw (the whole run moves to the fresh specialization).
+    """The integrals i = 0..delta under one specialization, from one
+    ``integrate`` call, resampling on a non-generic draw.
 
     The degree cap is pinned to the dimension 3+2i of each Hilbert scheme:
     equivariant representatives above the dimension would push forward to
     nonconstant polynomials in the torus parameters.  Only the H^4 rule is
     a free toggle.
     """
+    spec = IntegrandSpec(i=delta, delta=delta, d=d, mode=mode)
     attempt = 0
     spec_used = specialization
     while True:
         try:
-            results = []
-            for i in range(delta + 1):
-                ispec = IntegrandSpec(i=i, delta=delta, d=d, mode=mode)
-                results.append(integrate(ispec, spec_used, h4_rule=h4_rule, jobs=jobs))
-            return results, spec_used
-        except NonGenericSpecialization:
+            return integrate(spec, spec_used, h4_rule=h4_rule, jobs=jobs), spec_used
+        except NonGenericSpecialization as exc:
             attempt += 1
             if attempt > retries:
-                raise
+                values = ",".join(spec_used.describe())
+                raise NonGenericSpecialization(
+                    f"specialization {values} is not generic for delta={delta}:"
+                    " a Hilbert tangent weight vanishes"
+                ) from exc
             spec_used = Specialization.from_seed(seed * 1000003 + attempt)
 
 
@@ -400,20 +489,18 @@ def nodal_count(
     if delta < 0:
         raise ValueError("delta must be >= 0")
     spec0 = specialization if specialization is not None else Specialization.default()
-    results, spec_used = _run_all_integrals(delta, d, mode, spec0, h4_rule, jobs, retries, seed)
+    result, spec_used = _run_all_integrals(delta, d, mode, spec0, h4_rule, jobs, retries, seed)
     if verify:
         spec1 = Specialization.from_seed(seed * 7919 + 1)
         if spec1.values == spec0.values:
             spec1 = Specialization.from_seed(seed * 7919 + 2)
-        results1, _ = _run_all_integrals(delta, d, mode, spec1, h4_rule, jobs, retries, seed + 1)
-        for r0, r1 in zip(results, results1):
-            if r0.value != r1.value:
-                raise ArithmeticError(
-                    f"specialization disagreement at i={r0.i}: {r0.value} vs {r1.value}"
-                )
+        result1, _ = _run_all_integrals(delta, d, mode, spec1, h4_rule, jobs, retries, seed + 1)
+        for i, (v0, v1) in enumerate(zip(result.values, result1.values)):
+            if v0 != v1:
+                raise ArithmeticError(f"specialization disagreement at i={i}: {v0} vs {v1}")
     g = genus(d)
     coeffs = bps_coefficients(delta, g).a
-    total = sum((a * r.value for a, r in zip(coeffs, results)), Fraction(0))
+    total = sum((a * v for a, v in zip(coeffs, result.values)), Fraction(0))
     if total.denominator != 1:
         raise ArithmeticError(f"convention or arithmetic fault: non-integer count {total}")
     return NodalCount(total.numerator, spec_used)

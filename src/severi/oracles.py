@@ -1,13 +1,13 @@
 """Independent oracles for the verification suite.
 
-Each oracle recomputes a quantity along a路 different derivation path than
+Each oracle recomputes a quantity along a different derivation path than
 the production code and is compared exactly:
 
-  * the BPS-style combination weights are checked against brute-force power
-    series arithmetic: random placeholder values are pushed through the
-    defining series transformation (with negative powers of (1-q) expanded
-    by honest series inversion, not by the generalized binomial used in the
-    production path) and the triangular relation is solved back;
+  * the BPS-style combination weights are checked against the defining
+    series transformation: random placeholder values are pushed through it
+    (with the powers of (1-q) expanded by the binomial and negative-binomial
+    series, not by the falling-factorial binomial of the production path)
+    and the triangular relation is solved back;
 
   * the Hilbert-scheme tangent weights from the arm/leg formula are checked
     against the torus decomposition of Hom(I, O/I) for the monomial ideal,
@@ -19,49 +19,22 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 from .integrand import bps_coefficients
 from .partitions import check_partition
 from .weights import Character, Specialization, char_mul, char_pow, hilb_tangent_weights
 
-# -- power series helpers (dense lists of Fractions, truncated) --------------
 
+def _one_minus_q_power(e: int, order: int) -> list[int]:
+    """(1 - q)^e as a series truncated after q^order, for any integer e.
 
-def _series_mul(a, b, order):
-    out = [Fraction(0)] * (order + 1)
-    for i, ai in enumerate(a[: order + 1]):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b[: order + 1 - i]):
-            out[i + j] += ai * bj
-    return out
-
-
-def _series_pow(a, e, order):
-    out = [Fraction(1)] + [Fraction(0)] * order
-    for _ in range(e):
-        out = _series_mul(out, a, order)
-    return out
-
-
-def _series_inv(a, order):
-    if a[0] == 0:
-        raise ValueError("series not invertible")
-    out = [Fraction(1) / a[0]] + [Fraction(0)] * order
-    for n in range(1, order + 1):
-        acc = Fraction(0)
-        for k in range(1, min(n, len(a) - 1) + 1):
-            acc += a[k] * out[n - k]
-        out[n] = -acc / a[0]
-    return out
-
-
-def _one_minus_q_power(e: int, order: int):
-    """(1 - q)^e as a truncated series, for any integer e."""
-    base = [Fraction(1), Fraction(-1)] + [Fraction(0)] * max(0, order - 1)
+    The ordinary binomial theorem for e >= 0, and the negative binomial
+    series 1/(1-q)^m = sum_k C(m+k-1, k) q^k for e = -m.
+    """
     if e >= 0:
-        return _series_pow(base, e, order)
-    return _series_inv(_series_pow(base, -e, order), order)
+        return [(-1) ** k * comb(e, k) for k in range(order + 1)]
+    return [comb(-e + k - 1, k) for k in range(order + 1)]
 
 
 def bps_series_check(delta: int, g: int, trials: int = 2, seed: int = 0) -> bool:

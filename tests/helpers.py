@@ -37,7 +37,7 @@ ORDERED_REFERENCE = {
         [3404160, -11795040, 12893256, -3282032, -4123550, 1150606, 1773729, 73143,
          -486678, -75352, 63140, 11660, -3843, -747, 90, 18],
     ).scaled(Fraction(1, 36)),
-    # stretch targets (delta=6 spot values always; delta=5 only when SEVERI_STRETCH is set)
+    # stretch targets (tests/test_stretch.py: the delta=5 polynomial, delta=6 spot values)
     5: _poly(
         [-1, 1],
         [4224182400, -12007211040, 11267964504, -1811459616, -2869526338, 563804514,

@@ -81,6 +81,22 @@ def test_invalid_spec_exits_2(capsys):
     assert "distinct" in err
 
 
+def test_non_generic_explicit_spec_exits_2_without_resampling(capsys):
+    # (1,2,4,3) makes a Hilbert tangent weight vanish on the square partition
+    code, out, err = run(capsys, "count", "--delta", "4", "--degree", "4", "--spec", "1,2,4,3")
+    assert code == 2 and out == ""
+    assert "1,2,4,3" in err and "omit --spec" in err
+
+
+def test_poly_rejects_spec(capsys, tmp_path):
+    code, out, err = run(
+        capsys, "poly", "--delta", "1", "--spec", "2,3,5,7", "--cache-dir", str(tmp_path)
+    )
+    assert code == 2 and out == ""
+    assert "poly does not take --spec" in err
+    assert not list(tmp_path.iterdir())
+
+
 def test_invalid_window_exits_2(capsys):
     code, _, _ = run(capsys, "count", "--delta", "3", "--degree", "1")
     assert code == 2

@@ -15,7 +15,7 @@ from severi.integrand import (
     sym_chern,
     symbol_table,
 )
-from severi.oracles import bps_series_check
+from severi.oracles import _one_minus_q_power, bps_series_check
 
 
 @pytest.mark.parametrize("d,g", [(1, 0), (2, 0), (3, 1), (4, 3), (5, 6)])
@@ -46,6 +46,23 @@ def test_bps_unitriangular_normalization():
 def test_bps_series_oracle_subset(delta):
     for g in (0, 1, 2, 7, 19, 40):
         assert bps_series_check(delta, g)
+
+
+def test_one_minus_q_power_equals_repeated_series_products():
+    def times(a, b, order):
+        return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]
+
+    for order in range(14):
+        one_minus_q = [1, -1] + [0] * order
+        geometric = [1] * (order + 1)  # 1 / (1 - q)
+        power, inverse_power = [1] + [0] * order, [1] + [0] * order
+        assert _one_minus_q_power(0, order) == power
+        for m in range(1, 31):
+            power = times(power, one_minus_q, order)
+            inverse_power = times(inverse_power, geometric, order)
+            assert _one_minus_q_power(m, order) == power, (m, order)
+            assert _one_minus_q_power(-m, order) == inverse_power, (-m, order)
+            assert times(power, inverse_power, order) == [1] + [0] * order
 
 
 def test_sym_chern_d1():

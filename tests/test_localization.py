@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import severi.localization as localization
 from severi.integrand import IntegrandSpec, P2_FIXED, P3, build_integrand
 from severi.localization import (
     _compile_terms,
-    _plane_integral,
+    _plane_integrals,
     _reference_integral,
     _sum_over_points,
     count_nodal,
@@ -101,11 +102,18 @@ def test_integral_result_echo():
     ],
 )
 def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4_rule, values):
+    # one call evaluates i = 0..top; its entry i must equal the reference for i
     sp = Specialization.from_seed(11) if values is None else Specialization(values)
-    s = IntegrandSpec(i=i, delta=5, d=4, mode=mode)
+    top = 5 if h4_rule else 3
+    s = IntegrandSpec(i=top, delta=5, d=4, mode=mode)
     res = integrate(s, sp, h4_rule=h4_rule)
-    assert res.value == _reference_integral(s, sp, h4_rule)
-    assert res.fixed_point_count == len(enumerate_fixed_points(i))
+    assert len(res.values) == top + 1 and res.value == res.values[-1]
+    assert res.values[i] == _reference_integral(replace(s, i=i), sp, h4_rule)
+    assert res.fixed_point_count == len(enumerate_fixed_points(top))
+    # the deeper truncation of the shared series changes no shallower integral
+    shallow = integrate(replace(s, i=i), sp, h4_rule=h4_rule)
+    assert shallow.values == res.values[: i + 1]
+    assert shallow.fixed_point_count == len(enumerate_fixed_points(i))
 
     # reversed plane order and a shuffled partition order at every chart
     rng = random.Random(i)
@@ -116,7 +124,25 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
         return parts
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
-    assert sum(_plane_integral(k, s, sp, h4_rule) for k in (3, 2, 1, 0)) == res.value
+    per_plane = [_plane_integrals(k, s, sp, h4_rule) for k in (3, 2, 1, 0)]
+    assert tuple(sum(column, Fraction(0)) for column in zip(*per_plane)) == res.values
+
+
+def test_non_generic_plane_units_raise_before_any_cell_product(monkeypatch):
+    # the default specialization makes a Hilbert tangent weight vanish at i=3,
+    # at a chart of some plane; every plane unit must notice before real work
+    calls = []
+    times_cell = localization._times_cell
+    monkeypatch.setattr(
+        localization, "_times_cell", lambda *a: calls.append(a) or times_cell(*a)
+    )
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    for plane in range(4):
+        with pytest.raises(NonGenericSpecialization):
+            _plane_integrals(plane, s, SP, True)
+    assert calls == []
+    assert _plane_integrals(0, replace(s, i=2), SP, True)  # the counter works
+    assert calls
 
 
 def test_non_generic_raises_where_the_reference_does():

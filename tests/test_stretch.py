@@ -1,12 +1,8 @@
 """Stretch validation beyond the acceptance targets.
 
-The delta=6 spot values always run (about half a second each).  The delta=5
-polynomial reconstruction takes about 5 s on two cores and stays opt-in
-while the suite is over its time budget; enable it with
-``SEVERI_STRETCH=1 pytest tests/test_stretch.py``.
+The delta=6 spot values (about half a second each) and the delta=5
+polynomial reconstruction (a few seconds) run in every test run.
 """
-
-import os
 
 import pytest
 from helpers import ORDERED_REFERENCE, factorial
@@ -14,13 +10,7 @@ from helpers import ORDERED_REFERENCE, factorial
 from severi.localization import count_nodal, default_jobs
 from severi.node_polys import node_polynomial
 
-stretch = pytest.mark.skipif(
-    not os.environ.get("SEVERI_STRETCH"),
-    reason="stretch target; set SEVERI_STRETCH=1 to run",
-)
 
-
-@stretch
 def test_delta5_polynomial_matches_reference():
     rec = node_polynomial(5, jobs=default_jobs())
     assert rec.ordered_polynomial() == ORDERED_REFERENCE[5]
