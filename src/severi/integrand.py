@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 from .graded import GradedPoly, Symbol, SymbolTable, TruncationRules, graded_mul
 
@@ -52,11 +52,9 @@ def general_binomial(m: int, k: int) -> int:
     num = 1
     for t in range(k):
         num *= m - t
-    result = Fraction(num, 1)
-    for t in range(2, k + 1):
-        result /= t
-    assert result.denominator == 1
-    return result.numerator
+    result, remainder = divmod(num, factorial(k))
+    assert remainder == 0
+    return result
 
 
 @dataclass(frozen=True)
@@ -87,12 +85,12 @@ def bps_coefficients(delta: int, g: int) -> BPSCoefficients:
     def m_entry(j: int, i: int) -> int:
         return (-1) ** (j - i) * general_binomial(2 * (g - i) - 2, j - i)
 
-    a = [Fraction(0)] * (delta + 1)
-    a[delta] = Fraction(1)
+    # M is an integer unitriangular matrix, so its inverse is integral too
+    a = [0] * (delta + 1)
+    a[delta] = 1
     for i in range(delta - 1, -1, -1):
         a[i] = -sum(a[j] * m_entry(j, i) for j in range(i + 1, delta + 1))
-    assert a[delta] == 1
-    return BPSCoefficients(a=tuple(a), g=g)
+    return BPSCoefficients(a=tuple(map(Fraction, a)), g=g)
 
 
 def _sym_chern_coeffs(d: int):

@@ -30,8 +30,12 @@ The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i it builds the
 three chart series of a plane for sizes 0..i once, forms each product of
 the first two charts' size-a and size-b entries once, and reads every
-integral i' <= i off them with its own readout weights.  Nothing is kept
-between calls.
+integral i' <= i off them with its own readout weights.  Only the cell
+weights and the readout weights depend on the degree d, so one call also
+evaluates every sample degree of a node polynomial: the tangent checks and
+chern factors are computed once, a chart whose cell weights are the same at
+every d (those at P_0, where the O(d) fiber weight is trivial) is built
+once, and the rest is redone per degree.  Nothing is kept between calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
@@ -92,6 +96,7 @@ DEFAULT_RETRIES = 8
 class IntegralResult:
     value: Fraction
     values: tuple[Fraction, ...]
+    by_degree: dict[int, tuple[Fraction, ...]]
     spec_used: Specialization
     fixed_point_count: int
     i: int
@@ -187,34 +192,46 @@ def _chart_tangents(plane: int, point: int, exponents: dict, value) -> dict:
     return tangents
 
 
-def _chart_series(
-    plane: int, point: int, spec: IntegrandSpec, value, tangents, rows: int, cols: int, top: int
-):
-    """(numerator grid, denominator) of the chart series for sizes 0..i.
-
-    The size-n entry sums the local factor over the partitions of n.  The
-    other two charts bring total degree at least i - n, so it is kept only
-    up to total degree top - (i - n).
-    """
-    one = [[0] * cols for _ in range(rows)]
-    one[0][0] = 1
-    cell_products = {(): one}
-    series = [(one, 1)]
-    for n in range(1, spec.i + 1):
-        bound = top - (spec.i - n)
+def _chern_factors(tangents: dict, size: int) -> list:
+    """Per partition size n = 1..size: one common denominator for the
+    partitions of n, and each partition's factor prod (1 + eps w) / w over
+    it, as an integer polynomial in eps.  These do not depend on d."""
+    factors = [None]
+    for n in range(1, size + 1):
         mus = list(partitions(n))
-        for mu in mus:
-            # mu is its parent with the last cell of its last row added
-            a, b = mu[-1] - 1, len(mu) - 1
-            parent = mu[:-1] + ((a,) if a else ())
-            w = value(taut_cell_weight(plane, point, (a, b), spec.d))
-            cell_products[mu] = _times_cell(cell_products[parent], w, bound)
         denominator = lcm(*(prod(tangents[mu]) for mu in mus))
-        numerator = [[0] * cols for _ in range(rows)]
+        cherns = {}
         for mu in mus:
             chern = [denominator // prod(tangents[mu])]
             for v in tangents[mu]:
                 chern = [c + v * lower for c, lower in zip(chern + [0], [0] + chern)]
+            cherns[mu] = chern
+        factors.append((denominator, cherns))
+    return factors
+
+
+def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
+    """(numerator grid, denominator) of the chart series for sizes 0..size,
+    given the evaluated tautological weight of every cell.
+
+    The size-n entry sums the local factor over the partitions of n.  The
+    other two charts bring total degree at least size - n, so it is kept
+    only up to total degree top - (size - n).
+    """
+    size = len(factors) - 1
+    one = [[0] * cols for _ in range(rows)]
+    one[0][0] = 1
+    cell_products = {(): one}
+    series = [(one, 1)]
+    for n in range(1, size + 1):
+        bound = top - (size - n)
+        denominator, cherns = factors[n]
+        numerator = [[0] * cols for _ in range(rows)]
+        for mu, chern in cherns.items():
+            # mu is its parent with the last cell of its last row added
+            a, b = mu[-1] - 1, len(mu) - 1
+            parent = mu[:-1] + ((a,) if a else ())
+            cell_products[mu] = _times_cell(cell_products[parent], weights[a, b], bound)
             term = _times_eps_poly(cell_products[mu], chern, bound)
             for row, trow in zip(numerator, term):
                 row[:] = map(sum, zip(row, trow))
@@ -222,31 +239,81 @@ def _chart_series(
     return series
 
 
-def _readout_weights(spec: IntegrandSpec, h: int, h4_rule: bool) -> dict[int, Fraction]:
-    """Weight of each coefficient the integral reads, keyed by its xi-degree.
+def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[dict]:
+    """Per i = 0..spec.i, what the integral reads: a coefficient for each
+    (xi-degree, power of H).  This depends on d but not on the plane.
 
     The incidence term c H^j xi^s and the Segre term rho_t H^t read the
     xi^(delta+t-s) coefficient of the chart product, in eps-degree
     3 + 2i - j - t, so that xi- plus eps-degree is delta + 2i.
     """
-    t_top = 3 if h4_rule else spec.dimension
-    rho = segre_coeffs(spec.d, t_top)
+    rho = segre_coeffs(spec.d, 3 if h4_rule else spec.dimension)
     top = spec.delta + 2 * spec.i
-    weights: dict[int, Fraction] = {}
+    terms: dict[tuple[int, int], Fraction] = {}
     for s, j, c in incidence_terms(spec):
-        for t in range(t_top + 1):
+        for t, r in enumerate(rho):
             x = spec.delta + t - s
             if (h4_rule and j + t > 3) or not 0 <= x <= top:
                 continue
-            weights[x] = weights.get(x, 0) + c * rho[t] * h ** (j + t)
-    return weights
+            terms[x, j + t] = terms.get((x, j + t), 0) + c * r
+    # x <= delta + 2i already bounds t by 2i + s <= 3 + 2i, the dimension
+    return [
+        {key: c for key, c in terms.items() if key[0] <= spec.delta + 2 * i}
+        for i in range(spec.i + 1)
+    ]
+
+
+def _read_integrals(charts, readout: list[dict], h: int, delta: int, top: int) -> list[Fraction]:
+    """The plane's sums over its fixed points for i = 0..size at one degree,
+    before the Grassmannian Euler factor, read off its three chart series.
+
+    Each product Z1[a]*Z2[b] is formed once, kept up to total degree
+    top - (size - a - b), and feeds every i >= a + b.  The size-0 entry of
+    every series is 1, so a product with it, and a readout with c = 0, is a
+    copy or a lookup.
+    """
+    size = len(readout) - 1
+    first, second, third = charts
+    pairs = {}
+    for a in range(size + 1):
+        for b in range(size + 1 - a):
+            if a and b:
+                grid = _product(first[a][0], second[b][0], top - (size - a - b))
+            else:
+                grid = first[a][0] if a else second[b][0]
+            pairs[a, b] = grid, first[a][1] * second[b][1]
+    thirds = [[row[::-1] for row in grid] for grid, _ in third]
+    values = []
+    for i, terms in enumerate(readout):
+        read: dict[int, Fraction] = {}
+        for (x, power), c in terms.items():
+            read[x] = read.get(x, 0) + c * h**power
+        total = Fraction(0)
+        for (a, b), (pair, denominator) in pairs.items():
+            c = i - a - b
+            if c < 0:
+                continue
+            if c:
+                num = sum(
+                    w * _coefficient(pair, thirds[c], x, delta + 2 * i - x) for x, w in read.items()
+                )
+            else:
+                num = sum(w * pair[x][delta + 2 * i - x] for x, w in read.items())
+            total += Fraction(num, denominator * third[c][1])
+        values.append(total)
+    return values
 
 
 def _plane_integrals(
-    plane: int, spec: IntegrandSpec, specialization: Specialization, h4_rule: bool
-) -> list[Fraction]:
+    plane: int, spec: IntegrandSpec, specialization: Specialization, readouts: list
+) -> list[list[Fraction]]:
     """Contributions of the fixed points on the plane V_plane to the
-    integrals for i = 0..spec.i, read off one set of chart series."""
+    integrals for i = 0..spec.i, at each degree d of ``readouts``, a list of
+    (d, ``_readout_terms`` at d).
+
+    The tangent checks, the chern factors and the series of every chart
+    whose cell weights do not change with d are computed once per call.
+    """
     # integer torus values: the contribution is homogeneous of degree zero
     scale = lcm(*(v.denominator for v in specialization.values))
     scaled = [(v * scale).numerator for v in specialization.values]
@@ -259,42 +326,33 @@ def _plane_integrals(
         raise NonGenericSpecialization("non-generic specialization")
     # every chart of every plane, so that a non-generic draw fails every
     # plane unit before any of them does real work
-    exponents = _tangent_exponents(spec.i)
+    size = spec.i
+    exponents = _tangent_exponents(size)
     tangents = {
         (k, m): _chart_tangents(k, m, exponents, value) for k in range(4) for m in plane_points(k)
     }
+    points = plane_points(plane)
+    factors = {m: _chern_factors(tangents[plane, m], size) for m in points}
+    cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
     h = value(h_weight(plane))
-    weights = [_readout_weights(replace(spec, i=i), h, h4_rule) for i in range(spec.i + 1)]
-    top = spec.delta + 2 * spec.i
-    rows = max(max(w) for w in weights) + 1
-    cols = max(spec.delta + 2 * i - min(w) for i, w in enumerate(weights)) + 1
-    charts = [
-        _chart_series(plane, m, spec, value, tangents[plane, m], rows, cols, top)
-        for m in plane_points(plane)
-    ]
-    # Z1[a] * Z2[b] feeds every i >= a + b; the largest i needs it up to
-    # total degree top - (spec.i - a - b)
-    pairs = {
-        (a, b): _product(charts[0][a][0], charts[1][b][0], top - (spec.i - a - b))
-        for a in range(spec.i + 1)
-        for b in range(spec.i + 1 - a)
-    }
-    thirds = [[row[::-1] for row in p3] for p3, _ in charts[2]]
     euler = prod(gr)
-    values = []
-    for i, read in enumerate(weights):
-        total = Fraction(0)
-        for (a, b), pair in pairs.items():
-            c = i - a - b
-            if c < 0:
-                continue
-            num = sum(
-                w * _coefficient(pair, thirds[c], x, spec.delta + 2 * i - x)
-                for x, w in read.items()
-            )
-            total += Fraction(num, charts[0][a][1] * charts[1][b][1] * charts[2][c][1])
-        values.append(total / euler)
-    return values
+    top = spec.delta + 2 * size
+    reads = [(i, x) for _, readout in readouts for i, terms in enumerate(readout) for x, _ in terms]
+    rows = max(x for _, x in reads) + 1
+    cols = max(spec.delta + 2 * i - x for i, x in reads) + 1
+    out = []
+    built: dict = {}  # the chart series of the previous degree, by chart and cell weights
+    for d, readout in readouts:
+        charts, previous, built = [], built, {}
+        for m in points:
+            weights = tuple(value(taut_cell_weight(plane, m, cell, d)) for cell in cells)
+            series = previous.get((m, weights))
+            if series is None:
+                series = _chart_series(dict(zip(cells, weights)), factors[m], rows, cols, top)
+            built[m, weights] = series
+            charts.append(series)
+        out.append([v / euler for v in _read_integrals(charts, readout, h, spec.delta, top)])
+    return out
 
 
 def integrate(
@@ -303,34 +361,49 @@ def integrate(
     *,
     h4_rule: bool = True,
     jobs: int = 1,
+    degrees=None,
 ) -> IntegralResult:
-    """Evaluate the localized integrals for i = 0..spec.i at one fixed
-    generic specialization, all from one set of chart series per plane.
+    """Evaluate the localized integrals for i = 0..spec.i at every degree of
+    ``degrees`` (default: spec.d alone), at one fixed generic specialization,
+    all from one set of chart series per plane and degree.
 
-    ``values[i]`` is the integral over the length-i relative Hilbert scheme
-    and ``value`` the last of them; ``fixed_point_count`` counts the fixed
-    points at spec.i.  One call evaluates everything a count needs.
+    ``by_degree[d][i]`` is the integral over the length-i relative Hilbert
+    scheme at degree d; ``values`` is ``by_degree[spec.d]``, so ``degrees``
+    must include spec.d, and ``value`` the last of them.
+    ``fixed_point_count`` counts the fixed points at spec.i.  One call
+    evaluates everything a count, or the samples of a node polynomial, need.
+    The chart series at P_0, where the O(d) fiber weight is trivial, are
+    built once per plane, whatever the number of degrees.
 
     Raises NonGenericSpecialization if a tangent weight at some size
     <= spec.i vanishes; the caller is responsible for resampling (see
-    ``nodal_count``).  With ``jobs`` > 1 and at least 64 fixed points at
+    ``nodal_counts``).  With ``jobs`` > 1 and at least 64 fixed points at
     spec.i the four planes go to one process pool.
     """
+    degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
+    if spec.d not in degrees:
+        raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
+    readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
     i = spec.i
     sizes = [len(list(partitions(n))) for n in range(i + 1)]
     points = 4 * sum(
         sizes[a] * sizes[b] * sizes[i - a - b] for a in range(i + 1) for b in range(i + 1 - a)
     )
-    args = (range(4), repeat(spec), repeat(specialization), repeat(h4_rule))
+    args = (range(4), repeat(spec), repeat(specialization), repeat(readouts))
     if jobs <= 1 or points < 64:
         parts = list(map(_plane_integrals, *args))
     else:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_plane_integrals, *args))
-    values = tuple(sum(column, Fraction(0)) for column in zip(*parts))
+    by_degree = {
+        d: tuple(sum(column, Fraction(0)) for column in zip(*per_plane))
+        for d, per_plane in zip(degrees, zip(*parts))
+    }
+    values = by_degree[spec.d]
     return IntegralResult(
         value=values[-1],
         values=values,
+        by_degree=by_degree,
         spec_used=specialization,
         fixed_point_count=points,
         i=i,
@@ -440,21 +513,23 @@ def _reference_integral(
 # -- the count ----------------------------------------------------------------------
 
 
-def _run_all_integrals(delta, d, mode, specialization, h4_rule, jobs, retries, seed):
-    """The integrals i = 0..delta under one specialization, from one
-    ``integrate`` call, resampling on a non-generic draw.
+def _run_all_integrals(delta, ds, mode, specialization, h4_rule, jobs, retries, seed):
+    """The integrals i = 0..delta at every degree of ``ds`` under one
+    specialization, from one ``integrate`` call, resampling on a
+    non-generic draw.
 
     The degree cap is pinned to the dimension 3+2i of each Hilbert scheme:
     equivariant representatives above the dimension would push forward to
     nonconstant polynomials in the torus parameters.  Only the H^4 rule is
     a free toggle.
     """
-    spec = IntegrandSpec(i=delta, delta=delta, d=d, mode=mode)
+    spec = IntegrandSpec(i=delta, delta=delta, d=ds[0], mode=mode)
     attempt = 0
     spec_used = specialization
     while True:
         try:
-            return integrate(spec, spec_used, h4_rule=h4_rule, jobs=jobs), spec_used
+            result = integrate(spec, spec_used, h4_rule=h4_rule, jobs=jobs, degrees=ds)
+            return result, spec_used
         except NonGenericSpecialization as exc:
             attempt += 1
             if attempt > retries:
@@ -473,9 +548,9 @@ class NodalCount(NamedTuple):
     specialization: Specialization
 
 
-def nodal_count(
+def nodal_counts(
     delta: int,
-    d: int,
+    ds,
     mode: str = P3,
     *,
     specialization: Specialization | None = None,
@@ -484,26 +559,49 @@ def nodal_count(
     jobs: int = 1,
     h4_rule: bool = True,
     retries: int = DEFAULT_RETRIES,
-) -> NodalCount:
-    """``count_nodal`` together with the specialization actually used."""
+) -> list[NodalCount]:
+    """The counts for ``delta`` at each degree of ``ds``, in order, all from
+    one ``integrate`` call per specialization attempt.
+
+    ``specialization`` (default: ``Specialization.default()``) is replaced
+    by one drawn from ``seed`` if a tangent weight vanishes, at most
+    ``retries`` times; every count carries the one actually used.  With
+    ``verify`` on, every integral at every degree is recomputed under a
+    second generic specialization and the two runs must agree exactly.
+    ``h4_rule`` toggles the H^4 = 0 pruning of the symbolic representative;
+    the counts must not depend on it.
+    """
     if delta < 0:
         raise ValueError("delta must be >= 0")
+    ds = tuple(ds)
+    if not ds:
+        raise ValueError("need at least one degree")
     spec0 = specialization if specialization is not None else Specialization.default()
-    result, spec_used = _run_all_integrals(delta, d, mode, spec0, h4_rule, jobs, retries, seed)
+    result, spec_used = _run_all_integrals(delta, ds, mode, spec0, h4_rule, jobs, retries, seed)
     if verify:
         spec1 = Specialization.from_seed(seed * 7919 + 1)
         if spec1.values == spec0.values:
             spec1 = Specialization.from_seed(seed * 7919 + 2)
-        result1, _ = _run_all_integrals(delta, d, mode, spec1, h4_rule, jobs, retries, seed + 1)
-        for i, (v0, v1) in enumerate(zip(result.values, result1.values)):
-            if v0 != v1:
-                raise ArithmeticError(f"specialization disagreement at i={i}: {v0} vs {v1}")
-    g = genus(d)
-    coeffs = bps_coefficients(delta, g).a
-    total = sum((a * v for a, v in zip(coeffs, result.values)), Fraction(0))
-    if total.denominator != 1:
-        raise ArithmeticError(f"convention or arithmetic fault: non-integer count {total}")
-    return NodalCount(total.numerator, spec_used)
+        result1, _ = _run_all_integrals(delta, ds, mode, spec1, h4_rule, jobs, retries, seed + 1)
+        for d in ds:
+            for i, (v0, v1) in enumerate(zip(result.by_degree[d], result1.by_degree[d])):
+                if v0 != v1:
+                    raise ArithmeticError(
+                        f"specialization disagreement at d={d}, i={i}: {v0} vs {v1}"
+                    )
+    counts = []
+    for d in ds:
+        coeffs = bps_coefficients(delta, genus(d)).a
+        total = sum(map(mul, coeffs, result.by_degree[d]), Fraction(0))
+        if total.denominator != 1:
+            raise ArithmeticError(f"convention or arithmetic fault: non-integer count {total}")
+        counts.append(NodalCount(total.numerator, spec_used))
+    return counts
+
+
+def nodal_count(delta: int, d: int, mode: str = P3, **options) -> NodalCount:
+    """``count_nodal`` together with the specialization actually used."""
+    return nodal_counts(delta, (d,), mode, **options)[0]
 
 
 def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
@@ -511,10 +609,7 @@ def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
     conditions (general lines in p3 mode; general points in a fixed plane in
     p2 mode).
 
-    The keyword options are those of ``nodal_count``.  With ``verify`` on,
-    every integral is recomputed under a second generic specialization and
-    the two runs must agree exactly.  ``h4_rule`` toggles the H^4 = 0
-    pruning of the symbolic representative; the count must not depend on it.
+    The keyword options are those of ``nodal_counts``.
     """
     return nodal_count(delta, d, mode, **options).value
 

@@ -28,7 +28,9 @@ import time
 from dataclasses import dataclass, field
 
 from .integrand import P3, IntegrandSpec, MODES
-from .localization import count_nodal
+# count_nodal is not called here any more; the benchmark's tracer
+# (bench/spans.py) still rebinds node_polys.count_nodal, so it stays importable
+from .localization import count_nodal, nodal_counts  # noqa: F401
 from .unipoly import UniPoly, lagrange_interpolate
 
 CACHE_VERSION = "severi-2"
@@ -81,9 +83,10 @@ def node_polynomial(
 ) -> NodePolynomialRecord:
     """Interpolate the node polynomial for ``delta`` and check stability.
 
-    ``verify`` additionally runs every localization sample under a second
-    specialization.  ``progress`` may be a callable taking (d, value) and is
-    invoked after each sample.
+    All samples come from one ``nodal_counts`` call.  ``verify``
+    additionally runs every localization sample under a second
+    specialization.  ``progress`` may be a callable taking (d, value); it is
+    invoked once per sample degree, in order, after all of them are counted.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -93,16 +96,14 @@ def node_polynomial(
     ds = valid_degrees(delta, mode, n_samples + 2)
     sample_ds, check_ds = ds[:n_samples], ds[n_samples:]
 
-    def sample(d: int) -> int:
-        value = count_nodal(delta, d, mode, seed=seed, verify=verify, jobs=jobs)
-        if progress is not None:
+    counts = nodal_counts(delta, ds, mode, seed=seed, verify=verify, jobs=jobs)
+    values = [c.value for c in counts]
+    if progress is not None:
+        for d, value in zip(ds, values):
             progress(d, value)
-        return value
-
-    points = [(d, sample(d)) for d in sample_ds]
-    poly = lagrange_interpolate(points)
-    for d in check_ds:
-        if poly(d) != sample(d):
+    poly = lagrange_interpolate(list(zip(sample_ds, values)))
+    for d, value in zip(check_ds, values[n_samples:]):
+        if poly(d) != value:
             raise ArithmeticError(
                 "degree bound violated or sampling window invalid "
                 f"(delta={delta}, mode={mode}, extra sample d={d})"

@@ -99,7 +99,10 @@ class Specialization:
 
     @classmethod
     def default(cls) -> "Specialization":
-        return cls((Fraction(2), Fraction(3), Fraction(5), Fraction(7)))
+        """(1, 2, 18, 19): every Hilbert tangent weight at every chart is
+        nonzero for all partitions of size <= 17, so counts up to delta = 17
+        never resample; small values keep the integers small."""
+        return _DEFAULT
 
     @classmethod
     def from_seed(cls, seed: int) -> "Specialization":
@@ -111,6 +114,11 @@ class Specialization:
 
     def describe(self) -> list[str]:
         return [str(v) for v in self.values]
+
+
+# one shared instance (it is immutable): every count starts from it, and
+# building and validating it anew is a visible share of a small count
+_DEFAULT = Specialization((Fraction(1), Fraction(2), Fraction(18), Fraction(19)))
 
 
 def chart_weights(plane: int, point: int) -> tuple[Character, Character]:

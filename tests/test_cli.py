@@ -61,10 +61,13 @@ def test_count_explicit_spec(capsys):
     assert code == 0 and out.strip() == "140"
 
 
-def test_count_reports_the_specialization_used(capsys):
-    # (2,3,5,7) is non-generic at i = 3, so the count resamples; the record
-    # must name the specialization that produced it, and that one must
-    # reproduce the count when given back explicitly
+def test_count_reports_the_specialization_used(capsys, monkeypatch):
+    # with a default of (2,3,5,7), non-generic at i = 3, the count resamples;
+    # the record must name the specialization that produced it, and that one
+    # must reproduce the count when given back explicitly
+    monkeypatch.setattr(
+        localization.Specialization, "default", classmethod(lambda cls: cls((2, 3, 5, 7)))
+    )
     _, out, _ = run(capsys, "count", "--delta", "3", "--degree", "4", "--json")
     first = json.loads(out)
     assert first["specialization"] != ["2", "3", "5", "7"]

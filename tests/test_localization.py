@@ -13,11 +13,14 @@ from severi.localization import (
     _sum_over_points,
     count_nodal,
     integrate,
+    nodal_counts,
 )
-from severi.partitions import enumerate_fixed_points, partitions
+from severi.partitions import enumerate_fixed_points, partitions, plane_points
 from severi.weights import NonGenericSpecialization, Specialization
 
 SP = Specialization.default()
+# makes a Hilbert tangent weight vanish at i = 3, at a chart of some plane
+NON_GENERIC = Specialization((2, 3, 5, 7))
 
 
 def test_integrate_smooth_conic():
@@ -92,6 +95,26 @@ def test_integral_result_echo():
     assert res.spec_used is SP
 
 
+def test_default_specialization_is_generic_up_to_i16():
+    # the longest supported job is the fixed-plane delta = 15 polynomial
+    exponents = localization._tangent_exponents(16)
+    values = [v.numerator for v in SP.values]
+    assert all(v.denominator == 1 for v in SP.values)
+
+    def value(char):
+        return sum(c * v for c, v in zip(char, values))
+
+    for k in range(4):
+        for m in plane_points(k):
+            tangents = localization._chart_tangents(k, m, exponents, value)  # raises if one is 0
+            assert len(tangents) == len(exponents)
+    assert len(exponents) == sum(len(list(partitions(n))) for n in range(1, 17))
+
+
+# degrees of one batched call: spec.d = 4 is neither first nor last
+DEGREES = (5, 4, 3)
+
+
 @pytest.mark.parametrize(
     "mode, i, h4_rule, values",
     [(mode, i, True, None) for mode in (P3, P2_FIXED) for i in range(6)]
@@ -102,18 +125,28 @@ def test_integral_result_echo():
     ],
 )
 def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4_rule, values):
-    # one call evaluates i = 0..top; its entry i must equal the reference for i
+    # one call evaluates i = 0..top at every degree; its entry (d, i) must
+    # equal the reference for (d, i)
     sp = Specialization.from_seed(11) if values is None else Specialization(values)
     top = 5 if h4_rule else 3
     s = IntegrandSpec(i=top, delta=5, d=4, mode=mode)
-    res = integrate(s, sp, h4_rule=h4_rule)
-    assert len(res.values) == top + 1 and res.value == res.values[-1]
+    res = integrate(s, sp, h4_rule=h4_rule, degrees=DEGREES)
+    assert list(res.by_degree) == list(DEGREES)
+    assert res.values == res.by_degree[4] and res.value == res.values[-1]
+    assert all(len(v) == top + 1 for v in res.by_degree.values())
     assert res.values[i] == _reference_integral(replace(s, i=i), sp, h4_rule)
+    if i <= 2:
+        for d in DEGREES:
+            assert res.by_degree[d][i] == _reference_integral(replace(s, i=i, d=d), sp, h4_rule)
     assert res.fixed_point_count == len(enumerate_fixed_points(top))
-    # the deeper truncation of the shared series changes no shallower integral
-    shallow = integrate(replace(s, i=i), sp, h4_rule=h4_rule)
-    assert shallow.values == res.values[: i + 1]
+    # each degree equals a one-degree call, and the deeper truncation of the
+    # shared series changes no shallower integral
+    shallow = integrate(replace(s, i=i), sp, h4_rule=h4_rule, degrees=DEGREES)
     assert shallow.fixed_point_count == len(enumerate_fixed_points(i))
+    for d in DEGREES:
+        single = integrate(replace(s, d=d), sp, h4_rule=h4_rule)
+        assert single.by_degree == {d: single.values} and single.values == res.by_degree[d]
+        assert shallow.by_degree[d] == res.by_degree[d][: i + 1]
 
     # reversed plane order and a shuffled partition order at every chart
     rng = random.Random(i)
@@ -124,33 +157,95 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
         return parts
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
-    per_plane = [_plane_integrals(k, s, sp, h4_rule) for k in (3, 2, 1, 0)]
-    assert tuple(sum(column, Fraction(0)) for column in zip(*per_plane)) == res.values
+    readouts = [(d, localization._readout_terms(replace(s, d=d), h4_rule)) for d in DEGREES]
+    per_plane = [_plane_integrals(k, s, sp, readouts) for k in (3, 2, 1, 0)]
+    for d, per_degree in zip(DEGREES, zip(*per_plane)):
+        assert tuple(sum(column, Fraction(0)) for column in zip(*per_degree)) == res.by_degree[d]
+
+
+def test_chart_series_without_d_are_built_once_per_plane_per_call(monkeypatch):
+    # the O(d) fiber weight is trivial at P_0, a point of planes 1, 2 and 3:
+    # those three chart series are built once per call, the other nine once
+    # per degree
+    builds = []
+    chart_series = localization._chart_series
+
+    def counted(weights, factors, *rest):
+        builds.append((id(factors), tuple(sorted(weights.items()))))
+        return chart_series(weights, factors, *rest)
+
+    monkeypatch.setattr(localization, "_chart_series", counted)
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    ds = (4, 5, 6, 7)
+    res = integrate(s, SP, degrees=ds)
+    assert len(builds) == 9 * len(ds) + 3
+    assert len(set(builds)) == len(builds)  # no series is built twice
+    builds.clear()
+    for d in ds:
+        assert integrate(replace(s, d=d), SP).values == res.by_degree[d]
+    assert len(builds) == 12 * len(ds)
+
+
+def test_integrate_needs_spec_d_among_the_degrees():
+    with pytest.raises(ValueError):
+        integrate(IntegrandSpec(i=1, delta=1, d=2), SP, degrees=(3, 4))
+    res = integrate(IntegrandSpec(i=1, delta=1, d=2), SP, degrees=(2, 3, 2))
+    assert list(res.by_degree) == [2, 3]
+
+
+def test_nodal_counts_equal_single_counts_under_one_specialization():
+    counts = nodal_counts(2, (5, 3, 4), verify=True)
+    assert [c.value for c in counts] == [count_nodal(2, d) for d in (5, 3, 4)]
+    assert len({c.specialization for c in counts}) == 1
+    # one resample loop for all degrees: a non-generic start resamples once
+    counts = nodal_counts(3, (3, 4), specialization=NON_GENERIC, seed=2)
+    assert counts[0].specialization == counts[1].specialization != NON_GENERIC
+    assert counts[0].value == 7280
+
+
+def test_verify_compares_every_degree_and_i(monkeypatch):
+    # a disagreement at one (d, i) of the second specialization must surface
+    real = localization.integrate
+
+    def perturbed(spec, specialization, **kw):
+        res = real(spec, specialization, **kw)
+        if specialization != SP:
+            res.by_degree[5] = res.by_degree[5][:1] + (res.by_degree[5][1] + 1,) + res.by_degree[5][2:]
+        return res
+
+    monkeypatch.setattr(localization, "integrate", perturbed)
+    with pytest.raises(ArithmeticError, match="d=5, i=1"):
+        nodal_counts(2, (3, 4, 5), verify=True)
 
 
 def test_non_generic_plane_units_raise_before_any_cell_product(monkeypatch):
-    # the default specialization makes a Hilbert tangent weight vanish at i=3,
-    # at a chart of some plane; every plane unit must notice before real work
+    # NON_GENERIC makes a Hilbert tangent weight vanish at i=3, at a chart of
+    # some plane; every plane unit must notice before real work
     calls = []
     times_cell = localization._times_cell
     monkeypatch.setattr(
         localization, "_times_cell", lambda *a: calls.append(a) or times_cell(*a)
     )
     s = IntegrandSpec(i=3, delta=3, d=4)
+    readouts = [(d, localization._readout_terms(replace(s, d=d), True)) for d in (4, 5)]
     for plane in range(4):
         with pytest.raises(NonGenericSpecialization):
-            _plane_integrals(plane, s, SP, True)
+            _plane_integrals(plane, s, NON_GENERIC, readouts)
     assert calls == []
-    assert _plane_integrals(0, replace(s, i=2), SP, True)  # the counter works
+    shallow = replace(s, i=2)
+    readouts = [(4, localization._readout_terms(shallow, True))]
+    assert _plane_integrals(0, shallow, NON_GENERIC, readouts)  # the counter works
     assert calls
 
 
 def test_non_generic_raises_where_the_reference_does():
-    # the default specialization makes a Hilbert tangent weight vanish at i=3
+    # NON_GENERIC makes a Hilbert tangent weight vanish at i=3
     s = IntegrandSpec(i=3, delta=3, d=4)
     with pytest.raises(NonGenericSpecialization):
-        _reference_integral(s, SP)
+        _reference_integral(s, NON_GENERIC)
     with pytest.raises(NonGenericSpecialization):
-        integrate(s, SP)
+        integrate(s, NON_GENERIC)
     with pytest.raises(NonGenericSpecialization):
-        integrate(s, SP, jobs=2)
+        integrate(s, NON_GENERIC, jobs=2)
+    with pytest.raises(NonGenericSpecialization):
+        integrate(s, NON_GENERIC, degrees=(4, 5), jobs=2)

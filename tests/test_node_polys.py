@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from helpers import ORDERED_REFERENCE
 
+import severi.node_polys as node_polys
 from severi.integrand import P2_FIXED
+from severi.localization import count_nodal
 from severi.node_polys import (
     CACHE_VERSION,
     NodePolynomialRecord,
@@ -164,3 +166,32 @@ def test_extra_sample_stability_is_enforced(delta):
     # the record only exists because the in-op extra-sample check passed
     assert len(rec.check_ds) == 2
     assert len(rec.sample_ds) == 10 + 2 * delta
+
+
+def test_progress_reports_every_sample_degree_in_order():
+    calls = []
+    rec = node_polynomial(1, progress=lambda d, value: calls.append((d, value)))
+    ds = rec.sample_ds + rec.check_ds
+    assert calls == [(d, count_nodal(1, d)) for d in ds]
+    assert all(rec.polynomial(d) == value for d, value in calls)
+
+
+def test_extra_sample_mismatch_fails(monkeypatch):
+    # the certifying samples come from the same batched call as the others
+    nodal_counts = node_polys.nodal_counts
+
+    def last_count_off_by_one(*args, **kwargs):
+        counts = nodal_counts(*args, **kwargs)
+        return counts[:-1] + [counts[-1]._replace(value=counts[-1].value + 1)]
+
+    monkeypatch.setattr(node_polys, "nodal_counts", last_count_off_by_one)
+    with pytest.raises(ArithmeticError, match="extra sample"):
+        node_polynomial(1)
+
+
+def test_pooled_polynomial_equals_serial():
+    serial = node_polynomial(3, verify=True)
+    pooled = node_polynomial(3, verify=True, jobs=2)
+    assert serial.ordered_polynomial() == ORDERED_REFERENCE[3]
+    assert pooled.polynomial == serial.polynomial
+    assert (pooled.sample_ds, pooled.check_ds) == (serial.sample_ds, serial.check_ds)
