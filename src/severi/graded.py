@@ -65,9 +65,6 @@ class TruncationRules:
     nilpotent: bool = True
 
 
-NO_TRUNCATION = TruncationRules(degree_cap=None, nilpotent=False)
-
-
 def _admits(table: SymbolTable, rules: TruncationRules, exps) -> bool:
     if rules.nilpotent:
         for e, n in zip(exps, table.nilpotencies):

@@ -29,13 +29,17 @@ Grassmannian Euler factor and summed over the four planes.
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i it builds the
 three chart series of a plane for sizes 0..i once, forms each product of
-the first two charts' size-a and size-b entries once, and reads every
-integral i' <= i off them with its own readout weights.  Only the cell
+the first two charts' size-a and size-b entries once, sums those with
+a + b = s into one grid over one denominator, and reads every integral
+i' <= i off those grids with its own integer readout weights.  Only the cell
 weights and the readout weights depend on the degree d, so one call also
-evaluates every sample degree of a node polynomial: the tangent checks and
-chern factors are computed once, a chart whose cell weights are the same at
-every d (those at P_0, where the O(d) fiber weight is trivial) is built
-once, and the rest is redone per degree.  Nothing is kept between calls.
+evaluates every sample degree of a node polynomial: the tangent checks,
+chern factors and chart series are computed once, at the first degree d0.
+The O(d) fiber weight adds (d - d0) f_m to every cell weight of the chart
+at P_m, one slope per chart (zero at P_0), and a cell weight enters the
+series only through xi + eps w, so the series at d is the one at d0 under
+xi -> xi + (d - d0) f_m eps.  Only that shear, the pair products and the
+readouts are redone per degree.  Nothing is kept between calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
@@ -62,7 +66,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
-from math import lcm, prod
+from math import comb, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
@@ -239,9 +243,47 @@ def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
     return series
 
 
-def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[dict]:
-    """Per i = 0..spec.i, what the integral reads: a coefficient for each
-    (xi-degree, power of H).  This depends on d but not on the plane.
+def _sheared(g, c: int, rows: int, bound: int):
+    """g(xi + c eps, eps), kept to its first ``rows`` xi-rows.
+
+    Its xi^k eps^e coefficient is sum_j binom(k + j, j) c^j g[k + j][e - j].
+    Total degree is kept, so entries of g above ``bound`` stay cut, but
+    xi-degree moves into eps-degree: every output row reads the rows of g
+    below it, up to ``bound``.
+    """
+    height = min(len(g) - 1, bound)
+    out = []
+    for k in range(rows):
+        row = g[k][:]
+        # row k + j of g is zero beyond eps-degree bound - k - j
+        end = min(len(row), bound - k + 1)
+        for j in range(1, height - k + 1):
+            coef = comb(k + j, j) * c**j
+            row[j:end] = [a + coef * v for a, v in zip(row[j:end], g[k + j])]
+        out.append(row)
+    return out
+
+
+def _shear(series, c: int, rows: int, top: int):
+    """The chart series whose cell weights are all c more, from ``series``
+    (see ``_chart_series``), kept to its first ``rows`` xi-rows.
+
+    A cell weight enters the cell factor (xi + eps w) / (1 + xi + eps w)
+    only through xi + eps w, and the chern factors are in eps alone, so
+    adding c to every cell weight is the substitution xi -> xi + c eps.
+    The size-0 entry, 1, is never sheared.
+    """
+    size = len(series) - 1
+    return [
+        (_sheared(grid, c, rows, top - (size - n)) if n and c else grid[:rows], denominator)
+        for n, (grid, denominator) in enumerate(series)
+    ]
+
+
+def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[tuple[dict, int]]:
+    """Per i = 0..spec.i, what the integral reads: an integer coefficient
+    for each (xi-degree, power of H), and one denominator for all of them.
+    This depends on d but not on the plane.
 
     The incidence term c H^j xi^s and the Segre term rho_t H^t read the
     xi^(delta+t-s) coefficient of the chart product, in eps-degree
@@ -257,50 +299,58 @@ def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[dict]:
                 continue
             terms[x, j + t] = terms.get((x, j + t), 0) + c * r
     # x <= delta + 2i already bounds t by 2i + s <= 3 + 2i, the dimension
-    return [
-        {key: c for key, c in terms.items() if key[0] <= spec.delta + 2 * i}
-        for i in range(spec.i + 1)
-    ]
+    out = []
+    for i in range(spec.i + 1):
+        kept = {key: c for key, c in terms.items() if key[0] <= spec.delta + 2 * i}
+        denominator = lcm(*(Fraction(c).denominator for c in kept.values()))
+        out.append(({key: int(c * denominator) for key, c in kept.items()}, denominator))
+    return out
 
 
-def _read_integrals(charts, readout: list[dict], h: int, delta: int, top: int) -> list[Fraction]:
+def _read_integrals(charts, readout: list, h: int, delta: int, top: int) -> list[tuple[int, int]]:
     """The plane's sums over its fixed points for i = 0..size at one degree,
-    before the Grassmannian Euler factor, read off its three chart series.
+    before the Grassmannian Euler factor, read off its three chart series,
+    each as (numerator, denominator).
 
-    Each product Z1[a]*Z2[b] is formed once, kept up to total degree
-    top - (size - a - b), and feeds every i >= a + b.  The size-0 entry of
-    every series is 1, so a product with it, and a readout with c = 0, is a
-    copy or a lookup.
+    The products Z1[a]*Z2[b] with a + b = s share the truncation
+    top - (size - s), so they are summed over one denominator into one grid
+    W[s], which feeds every i >= s through the line of W[s]*Z3[i - s].  The
+    size-0 entry of every series is exactly 1 over 1, so a product with it
+    is a copy, and a readout of W[s]*Z3[0] a lookup.
     """
     size = len(readout) - 1
     first, second, third = charts
-    pairs = {}
-    for a in range(size + 1):
-        for b in range(size + 1 - a):
-            if a and b:
-                grid = _product(first[a][0], second[b][0], top - (size - a - b))
-            else:
-                grid = first[a][0] if a else second[b][0]
-            pairs[a, b] = grid, first[a][1] * second[b][1]
+    sums = []
+    for s in range(size + 1):
+        parts = [(first[a], second[s - a]) for a in range(s + 1)]
+        denominator = lcm(*(d1 * d2 for (_, d1), (_, d2) in parts))
+        grids, scales = [], []
+        for a, ((g1, d1), (g2, d2)) in enumerate(parts):
+            if a and s - a:
+                grids.append(_product(g1, g2, top - (size - s)))
+            else:  # a product with the size-0 entry
+                grids.append(g1 if a else g2)
+            scales.append(denominator // (d1 * d2))
+        grid = [[sum(map(mul, column, scales)) for column in zip(*xrows)] for xrows in zip(*grids)]
+        sums.append((grid, denominator))
     thirds = [[row[::-1] for row in grid] for grid, _ in third]
     values = []
-    for i, terms in enumerate(readout):
-        read: dict[int, Fraction] = {}
+    for i, (terms, denominator) in enumerate(readout):
+        read: dict[int, int] = {}
         for (x, power), c in terms.items():
             read[x] = read.get(x, 0) + c * h**power
-        total = Fraction(0)
-        for (a, b), (pair, denominator) in pairs.items():
-            c = i - a - b
-            if c < 0:
-                continue
+        lines = []
+        for s in range(i + 1):
+            (grid, d12), c = sums[s], i - s
             if c:
                 num = sum(
-                    w * _coefficient(pair, thirds[c], x, delta + 2 * i - x) for x, w in read.items()
+                    w * _coefficient(grid, thirds[c], x, delta + 2 * i - x) for x, w in read.items()
                 )
             else:
-                num = sum(w * pair[x][delta + 2 * i - x] for x, w in read.items())
-            total += Fraction(num, denominator * third[c][1])
-        values.append(total)
+                num = sum(w * grid[x][delta + 2 * i - x] for x, w in read.items())
+            lines.append((num, d12 * third[c][1]))
+        common = lcm(*(d for _, d in lines))
+        values.append((sum(num * (common // d) for num, d in lines), common * denominator))
     return values
 
 
@@ -311,8 +361,13 @@ def _plane_integrals(
     integrals for i = 0..spec.i, at each degree d of ``readouts``, a list of
     (d, ``_readout_terms`` at d).
 
-    The tangent checks, the chern factors and the series of every chart
-    whose cell weights do not change with d are computed once per call.
+    The tangent checks, the chern factors and every chart series are
+    computed once per call, the series at the first degree d0.  A cell
+    weight at d is its value at d0 plus (d - d0) times one slope per chart
+    (zero at P_0), so the series at d is the one at d0 sheared by
+    ``_shear``.  A chart that is sheared keeps every xi-row up to the top
+    total degree, since the shear moves xi-degree into eps-degree; the
+    others keep only the rows that are read.
     """
     # integer torus values: the contribution is homogeneous of degree zero
     scale = lcm(*(v.denominator for v in specialization.values))
@@ -331,27 +386,29 @@ def _plane_integrals(
     tangents = {
         (k, m): _chart_tangents(k, m, exponents, value) for k in range(4) for m in plane_points(k)
     }
-    points = plane_points(plane)
-    factors = {m: _chern_factors(tangents[plane, m], size) for m in points}
     cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
     h = value(h_weight(plane))
     euler = prod(gr)
     top = spec.delta + 2 * size
-    reads = [(i, x) for _, readout in readouts for i, terms in enumerate(readout) for x, _ in terms]
+    reads = [
+        (i, x) for _, readout in readouts for i, (terms, _) in enumerate(readout) for x, _ in terms
+    ]
     rows = max(x for _, x in reads) + 1
     cols = max(spec.delta + 2 * i - x for i, x in reads) + 1
+    d0 = readouts[0][0]
+    bases = []
+    for m in plane_points(plane):
+        weights = {cell: value(taut_cell_weight(plane, m, cell, d0)) for cell in cells}
+        w0, w1 = (value(taut_cell_weight(plane, m, (0, 0), d)) for d in (d0, d0 + 1))
+        shifts = [(d - d0) * (w1 - w0) for d, _ in readouts]
+        factors = _chern_factors(tangents[plane, m], size)
+        series = _chart_series(weights, factors, top + 1 if any(shifts) else rows, cols, top)
+        bases.append((series, shifts))
     out = []
-    built: dict = {}  # the chart series of the previous degree, by chart and cell weights
-    for d, readout in readouts:
-        charts, previous, built = [], built, {}
-        for m in points:
-            weights = tuple(value(taut_cell_weight(plane, m, cell, d)) for cell in cells)
-            series = previous.get((m, weights))
-            if series is None:
-                series = _chart_series(dict(zip(cells, weights)), factors[m], rows, cols, top)
-            built[m, weights] = series
-            charts.append(series)
-        out.append([v / euler for v in _read_integrals(charts, readout, h, spec.delta, top)])
+    for j, (_, readout) in enumerate(readouts):
+        charts = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
+        integrals = _read_integrals(charts, readout, h, spec.delta, top)
+        out.append([Fraction(num, denominator * euler) for num, denominator in integrals])
     return out
 
 
@@ -365,15 +422,15 @@ def integrate(
 ) -> IntegralResult:
     """Evaluate the localized integrals for i = 0..spec.i at every degree of
     ``degrees`` (default: spec.d alone), at one fixed generic specialization,
-    all from one set of chart series per plane and degree.
+    all from one set of chart series per plane.
 
     ``by_degree[d][i]`` is the integral over the length-i relative Hilbert
     scheme at degree d; ``values`` is ``by_degree[spec.d]``, so ``degrees``
     must include spec.d, and ``value`` the last of them.
     ``fixed_point_count`` counts the fixed points at spec.i.  One call
     evaluates everything a count, or the samples of a node polynomial, need.
-    The chart series at P_0, where the O(d) fiber weight is trivial, are
-    built once per plane, whatever the number of degrees.
+    Each plane builds its three chart series once, at the first degree, and
+    shears them to the others, whatever the number of degrees.
 
     Raises NonGenericSpecialization if a tangent weight at some size
     <= spec.i vanishes; the caller is responsible for resampling (see

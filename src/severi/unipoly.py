@@ -126,25 +126,29 @@ class UniPoly:
 
 
 def lagrange_interpolate(samples) -> UniPoly:
-    """Exact Lagrange interpolation through ``(x, y)`` pairs.
+    """Exact interpolation through ``(x, y)`` pairs.
 
     Returns the unique polynomial of degree < len(samples) through all the
     samples.  Duplicated x values make the problem degenerate and raise.
+    Newton's divided differences give it in the basis
+    prod_{j<k} (d - x_j), expanded to monomials by Horner's rule: O(n^2)
+    exact operations.
     """
     pts = [(rat(x), rat(y)) for x, y in samples]
     xs = [x for x, _ in pts]
     if len(set(xs)) != len(xs):
         raise ValueError("degenerate sample set")
-    result = UniPoly.zero()
-    for i, (xi, yi) in enumerate(pts):
-        if yi == 0:
-            continue
-        basis = UniPoly.constant(1)
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(pts):
-            if j == i:
-                continue
-            basis = basis * UniPoly([-xj, 1])
-            denom *= xi - xj
-        result = result + basis.scaled(yi / denom)
-    return result
+    # after step j, newton[k] = f[x_{k-j}, ..., x_k] for k >= j
+    newton = [y for _, y in pts]
+    for j in range(1, len(pts)):
+        for k in range(len(pts) - 1, j - 1, -1):
+            newton[k] = (newton[k] - newton[k - 1]) / (xs[k] - xs[k - j])
+    coeffs: list[Fraction] = []
+    for x, c in zip(reversed(xs), reversed(newton)):
+        # coeffs * (d - x) + c
+        shifted = [Fraction(0)] + coeffs
+        for k, a in enumerate(coeffs):
+            shifted[k] -= x * a
+        shifted[0] += c
+        coeffs = shifted
+    return UniPoly(coeffs)

@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -16,7 +17,7 @@ from severi.localization import (
     nodal_counts,
 )
 from severi.partitions import enumerate_fixed_points, partitions, plane_points
-from severi.weights import NonGenericSpecialization, Specialization
+from severi.weights import NonGenericSpecialization, Specialization, taut_cell_weight
 
 SP = Specialization.default()
 # makes a Hilbert tangent weight vanish at i = 3, at a chart of some plane
@@ -164,26 +165,64 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
 
 
 def test_chart_series_without_d_are_built_once_per_plane_per_call(monkeypatch):
-    # the O(d) fiber weight is trivial at P_0, a point of planes 1, 2 and 3:
-    # those three chart series are built once per call, the other nine once
-    # per degree
-    builds = []
-    chart_series = localization._chart_series
+    # every chart series is built once per call, at the first degree, and
+    # sheared to the others; a one-degree call shears nothing
+    builds, shears = [], []
+    chart_series, sheared = localization._chart_series, localization._sheared
 
     def counted(weights, factors, *rest):
         builds.append((id(factors), tuple(sorted(weights.items()))))
         return chart_series(weights, factors, *rest)
 
     monkeypatch.setattr(localization, "_chart_series", counted)
+    monkeypatch.setattr(localization, "_sheared", lambda *a: shears.append(a) or sheared(*a))
     s = IntegrandSpec(i=3, delta=3, d=4)
     ds = (4, 5, 6, 7)
     res = integrate(s, SP, degrees=ds)
-    assert len(builds) == 9 * len(ds) + 3
+    assert len(builds) == 12
     assert len(set(builds)) == len(builds)  # no series is built twice
+    # the 9 charts off P_0, at the 3 degrees after the first, sizes 1..3
+    assert len(shears) == 9 * (len(ds) - 1) * 3
     builds.clear()
+    shears.clear()
     for d in ds:
         assert integrate(replace(s, d=d), SP).values == res.by_degree[d]
     assert len(builds) == 12 * len(ds)
+    assert shears == []
+
+
+@pytest.mark.parametrize("values", [None, (Fraction(1, 2), 3, Fraction(7, 3), 5)])
+def test_sheared_chart_series_equal_the_series_built_at_their_degree(values):
+    # the series built at d0 and sheared by (d - d0) * slope is, exactly, the
+    # series built at d, at all 12 charts and for shifts of both signs
+    sp = SP if values is None else Specialization(values)
+    scale = lcm(*(v.denominator for v in sp.values))
+    scaled = [(v * scale).numerator for v in sp.values]
+
+    def value(char):
+        return sum(c * v for c, v in zip(char, scaled))
+
+    d0, delta = 5, 3
+    for size in range(1, 5):
+        exponents = localization._tangent_exponents(size)
+        cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
+        top = delta + 2 * size
+        rows, cols = min(delta + 4, top + 1), top + 1
+        for k in range(4):
+            for m in plane_points(k):
+                tangents = localization._chart_tangents(k, m, exponents, value)
+                factors = localization._chern_factors(tangents, size)
+
+                def built(d, rows):
+                    weights = {cell: value(taut_cell_weight(k, m, cell, d)) for cell in cells}
+                    return localization._chart_series(weights, factors, rows, cols, top)
+
+                base = built(d0, top + 1)
+                w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
+                assert (w1 == w0) == (m == 0)
+                for d in (2, 4, 5, 6, 9):
+                    sheared = localization._shear(base, (d - d0) * (w1 - w0), rows, top)
+                    assert sheared == built(d, rows), (size, k, m, d)
 
 
 def test_integrate_needs_spec_d_among_the_degrees():

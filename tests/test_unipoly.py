@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -56,3 +57,28 @@ def test_interpolation_roundtrip(cs):
     n = max(len(p.coeffs) + 1, 2)
     samples = [(x, p(x)) for x in range(n)]
     assert lagrange_interpolate(samples) == p
+
+
+def _lagrange_reference(samples):
+    """The textbook sum of y_i times the Lagrange basis polynomial of x_i."""
+    result = UniPoly.zero()
+    for i, (xi, yi) in enumerate(samples):
+        basis, denom = UniPoly.constant(1), Fraction(1)
+        for j, (xj, _) in enumerate(samples):
+            if j != i:
+                basis = basis * UniPoly([-xj, 1])
+                denom *= xi - xj
+        result = result + basis.scaled(Fraction(yi) / denom)
+    return result
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_interpolation_equals_lagrange_formula(seed):
+    # random distinct rational nodes and random values, not from a polynomial
+    # of lower degree
+    rng = random.Random(seed)
+    nodes = sorted({Fraction(a, b) for a in range(-30, 30) for b in range(1, 5)})
+    xs = rng.sample(nodes, rng.randrange(1, 20))
+    samples = [(x, Fraction(rng.randrange(-10**9, 10**9), rng.randrange(1, 10**6))) for x in xs]
+    assert lagrange_interpolate(samples) == _lagrange_reference(samples)
+    assert lagrange_interpolate([]) == UniPoly.zero()

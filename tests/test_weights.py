@@ -15,6 +15,7 @@ from severi.weights import (
     gr_tangent_weights,
     h_weight,
     hilb_tangent_weights,
+    taut_cell_weight,
     taut_weights,
     weight_system,
 )
@@ -132,6 +133,22 @@ def test_taut_weights_length_two():
     w0 = tuple(2 * x for x in ratio(0, 1))
     got = sorted(taut_weights(fp, 2))
     assert got == sorted([w0, tuple(a + b for a, b in zip(w0, t1))])
+
+
+def test_cell_weights_are_affine_in_d_with_one_slope_per_chart():
+    # the evaluator shears a chart series from one degree to another on this:
+    # every cell weight at P_m moves by the same character lambda_0/lambda_m
+    # per unit of d, which is trivial at P_0
+    cells = [(a, b) for a in range(6) for b in range(6 // (a + 1))]
+    for k in range(4):
+        for m in plane_points(k):
+            slopes = {
+                tuple(y - x for x, y in zip(*(taut_cell_weight(k, m, cell, e) for e in (d, d + 1))))
+                for cell in cells
+                for d in range(-2, 8)
+            }
+            assert slopes == {ratio(0, m)}
+            assert (ratio(0, m) == (0, 0, 0, 0)) == (m == 0)
 
 
 def test_all_characters_balanced():
