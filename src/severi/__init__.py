@@ -18,99 +18,30 @@ N_delta(d); the fixed-plane variant recovers the classical planar node
 polynomials (3(d-1)^2 for one node, and so on).
 """
 
-from .calibrate import CalibrationError, ensure_calibrated, run_calibration
-from .crosscheck import (
-    Decomposition,
-    NuClass,
-    enumerate_decompositions,
-    multiplicity,
-    nu_class,
-    reducible_count,
-)
-from .graded import GradedPoly, Symbol, SymbolTable, TruncationRules, eval_graded, graded_mul
-from .integrand import (
-    P2_FIXED,
-    P3,
-    BPSCoefficients,
-    IntegrandSpec,
-    bps_coefficients,
-    build_integrand,
-    genus,
-    sym_chern,
-)
+from .calibrate import CalibrationError, ensure_calibrated
+from .crosscheck import reducible_count
+from .integrand import P2_FIXED, P3, IntegrandSpec
 from .localization import IntegralResult, count_nodal, integrate
-from .node_polys import NodePolynomialRecord, load, node_polynomial, node_polynomial_cached, store
-from .partitions import FixedPoint, arm_leg, cells, enumerate_fixed_points, partitions
-from .rationals import Rat, rat
-from .unipoly import UniPoly, lagrange_interpolate
-from .weights import (
-    Character,
-    NonGenericSpecialization,
-    Specialization,
-    WeightSystem,
-    chart_weights,
-    chern_values,
-    euler_class,
-    gr_tangent_weights,
-    h_weight,
-    hilb_tangent_weights,
-    taut_weights,
-    weight_system,
-)
+from .node_polys import NodePolynomialRecord, node_polynomial, node_polynomial_cached
+from .unipoly import UniPoly
+from .weights import NonGenericSpecialization, Specialization
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BPSCoefficients",
     "CalibrationError",
-    "Character",
-    "Decomposition",
-    "FixedPoint",
-    "GradedPoly",
     "IntegralResult",
     "IntegrandSpec",
     "NodePolynomialRecord",
     "NonGenericSpecialization",
-    "NuClass",
     "P2_FIXED",
     "P3",
-    "Rat",
     "Specialization",
-    "Symbol",
-    "SymbolTable",
-    "TruncationRules",
     "UniPoly",
-    "WeightSystem",
-    "arm_leg",
-    "bps_coefficients",
-    "build_integrand",
-    "cells",
-    "chart_weights",
-    "chern_values",
     "count_nodal",
     "ensure_calibrated",
-    "enumerate_decompositions",
-    "enumerate_fixed_points",
-    "euler_class",
-    "eval_graded",
-    "genus",
-    "gr_tangent_weights",
-    "graded_mul",
-    "h_weight",
-    "hilb_tangent_weights",
     "integrate",
-    "lagrange_interpolate",
-    "load",
-    "multiplicity",
     "node_polynomial",
     "node_polynomial_cached",
-    "nu_class",
-    "partitions",
-    "rat",
     "reducible_count",
-    "run_calibration",
-    "store",
-    "sym_chern",
-    "taut_weights",
-    "weight_system",
 ]

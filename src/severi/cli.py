@@ -19,7 +19,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import __version__
@@ -45,48 +44,20 @@ TABLE_CASES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    mode: str
-    specialization: Specialization | None
-    seed: int
-    jobs: int
-    verify: bool
-    cache_dir: str
-    as_json: bool
-    timing: bool
-
-    def __post_init__(self):
-        if self.jobs < 1:
-            raise ValueError("worker count must be >= 1")
+def worker_count(arg: str) -> int:
+    jobs = int(arg)
+    if jobs < 1:
+        raise argparse.ArgumentTypeError("worker count must be >= 1")
+    return jobs
 
 
-def _mode(arg: str) -> str:
-    return {"p3": P3, "p2": P2_FIXED}[arg]
-
-
-def _config(args, default_verify: bool) -> RunConfig:
-    spec = None
-    if args.spec is not None:
-        parts = [Fraction(x) for x in args.spec.split(",")]
-        if len(parts) != 4:
-            raise ValueError("--spec needs exactly 4 comma-separated values")
-        spec = Specialization(tuple(parts))
-    verify = default_verify
-    if args.verify:
-        verify = True
-    if args.no_verify:
-        verify = False
-    return RunConfig(
-        mode=_mode(args.mode),
-        specialization=spec,
-        seed=args.seed,
-        jobs=args.jobs,
-        verify=verify,
-        cache_dir=args.cache_dir or default_cache_dir(),
-        as_json=args.json,
-        timing=args.timing,
-    )
+def _specialization(args) -> Specialization | None:
+    if args.spec is None:
+        return None
+    parts = [Fraction(x) for x in args.spec.split(",")]
+    if len(parts) != 4:
+        raise ValueError("--spec needs exactly 4 comma-separated values")
+    return Specialization(tuple(parts))
 
 
 def _emit(payload: dict, as_json: bool, lines) -> None:
@@ -98,20 +69,20 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 
 
 def cmd_count(args) -> int:
-    cfg = _config(args, default_verify=False)
-    ensure_calibrated(cfg.seed)
-    explicit = cfg.specialization is not None
+    specialization = _specialization(args)
+    ensure_calibrated(args.seed)
+    explicit = specialization is not None
     t0 = time.time()
     try:
         # an explicit --spec is used as given or not at all
         result = nodal_count(
             args.delta,
             args.degree,
-            cfg.mode,
-            specialization=cfg.specialization,
-            seed=cfg.seed,
-            verify=cfg.verify,
-            jobs=cfg.jobs,
+            args.mode,
+            specialization=specialization,
+            seed=args.seed,
+            verify=args.verify,
+            jobs=args.jobs,
             retries=0 if explicit else DEFAULT_RETRIES,
         )
     except NonGenericSpecialization as exc:
@@ -128,41 +99,38 @@ def cmd_count(args) -> int:
         "command": "count",
         "delta": args.delta,
         "degree": args.degree,
-        "mode": cfg.mode,
+        "mode": args.mode,
         "count": value,
         "fixed_points": fp_counts,
         "specialization": result.specialization.describe(),
-        "seed": cfg.seed,
-        "verified": cfg.verify,
+        "seed": args.seed,
+        "verified": args.verify,
     }
-    if cfg.timing:
+    if args.timing:
         payload["timing_s"] = round(elapsed, 3)
     lines = [str(value)]
-    if cfg.timing:
+    if args.timing:
         lines.append(f"# {elapsed:.2f}s, fixed points {fp_counts}")
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
 def cmd_poly(args) -> int:
-    if args.spec is not None:
-        raise ValueError("poly does not take --spec: its samples use seeded specializations")
-    cfg = _config(args, default_verify=True)
-    ensure_calibrated(cfg.seed)
+    ensure_calibrated(args.seed)
     rec = node_polynomial_cached(
         args.delta,
-        cfg.mode,
-        cache_dir=cfg.cache_dir,
-        seed=cfg.seed,
-        verify=cfg.verify,
-        jobs=cfg.jobs,
+        args.mode,
+        cache_dir=args.cache_dir or default_cache_dir(),
+        seed=args.seed,
+        verify=args.verify,
+        jobs=args.jobs,
     )
     ordered = rec.ordered_polynomial()
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "poly",
         "delta": args.delta,
-        "mode": cfg.mode,
+        "mode": args.mode,
         "coefficients": rec.polynomial.to_coeff_strings(),
         "ordered_coefficients": ordered.to_coeff_strings(),
         "degree": rec.polynomial.degree(),
@@ -175,12 +143,12 @@ def cmd_poly(args) -> int:
         f"{args.delta}! * N_{args.delta}(d) = {ordered}",
         f"# degree {rec.polynomial.degree()}, samples d = {rec.sample_ds[0]}..{rec.sample_ds[-1]}",
     ]
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, args.json, lines)
     return 0
 
 
 def cmd_check(args) -> int:
-    cfg = _config(args, default_verify=True)
+    specialization = _specialization(args)
     sections = []
     only = args.only
 
@@ -190,7 +158,7 @@ def cmd_check(args) -> int:
     if want("nu") or want("calibration"):
         cases = [
             {"name": c.name, "expected": c.expected, "got": c.got, "ok": c.ok}
-            for c in run_calibration(cfg.seed)
+            for c in run_calibration(args.seed)
         ]
         sections.append({"name": "calibration", "cases": cases})
 
@@ -200,7 +168,7 @@ def cmd_check(args) -> int:
             if delta > args.max_delta:
                 continue
             combinatorial = reducible_count(delta, d)
-            localized = count_nodal(delta, d, seed=cfg.seed, jobs=cfg.jobs)
+            localized = count_nodal(delta, d, seed=args.seed, jobs=args.jobs)
             cases.append(
                 {
                     "name": f"N[{delta},{d}]",
@@ -226,7 +194,7 @@ def cmd_check(args) -> int:
         from .partitions import partitions, plane_points
         from .weights import chart_weights
 
-        spec_w = cfg.specialization or Specialization.from_seed(cfg.seed * 17 + 3)
+        spec_w = specialization or Specialization.from_seed(args.seed * 17 + 3)
         cases = []
         for size in range(0, 6):
             for mu in partitions(size):
@@ -242,19 +210,17 @@ def cmd_check(args) -> int:
         cases = []
         for delta in range(0, 3):
             for d in (2, 3):
-                if d < 1:
-                    continue
                 try:
-                    IntegrandSpec(i=0, delta=delta, d=d, mode=cfg.mode)
+                    IntegrandSpec(i=0, delta=delta, d=d, mode=args.mode)
                 except ValueError:
                     continue
-                a = count_nodal(delta, d, cfg.mode, seed=cfg.seed, jobs=cfg.jobs)
+                a = count_nodal(delta, d, args.mode, seed=args.seed, jobs=args.jobs)
                 b = count_nodal(
                     delta,
                     d,
-                    cfg.mode,
-                    specialization=Specialization.from_seed(cfg.seed * 31 + 7),
-                    jobs=cfg.jobs,
+                    args.mode,
+                    specialization=Specialization.from_seed(args.seed * 31 + 7),
+                    jobs=args.jobs,
                 )
                 cases.append({"name": f"dualspec[{delta},{d}]", "ok": a == b})
         sections.append({"name": "dualspec", "cases": cases})
@@ -274,16 +240,16 @@ def cmd_check(args) -> int:
             if not c["ok"]:
                 lines.append(f"  FAIL {c['name']}: {c}")
     lines.append("ALL PASS" if all_ok else "FAILURES PRESENT")
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, args.json, lines)
     return 0 if all_ok else 1
 
 
 def cmd_table(args) -> int:
-    cfg = _config(args, default_verify=False)
+    cache_dir = args.cache_dir or default_cache_dir()
     rows = []
     for mode in (P3, P2_FIXED):
         for delta in range(0, 16):
-            rec = load(delta, mode, cfg.cache_dir)
+            rec = load(delta, mode, cache_dir)
             if rec is not None:
                 rows.append(
                     {
@@ -297,8 +263,34 @@ def cmd_table(args) -> int:
     lines = [f"delta={r['delta']} mode={r['mode']} degree={r['degree']}" for r in rows] or [
         "(cache empty)"
     ]
-    _emit(payload, cfg.as_json, lines)
+    _emit(payload, args.json, lines)
     return 0
+
+
+# each subcommand registers only the flags it reads
+FLAGS = {
+    "mode": dict(choices=(P3, P2_FIXED), default=P3),
+    "spec": dict(default=None, help="explicit torus values, e.g. 2,3,5,7"),
+    "seed": dict(type=int, default=0),
+    "jobs": dict(type=worker_count, default=1),
+    "json": dict(action="store_true"),
+    "timing": dict(action="store_true"),
+    "cache-dir": dict(default=None),
+}
+
+
+def _flags(parser, *names, verify=None) -> None:
+    """Add the named ``FLAGS``, and --verify/--no-verify with the given
+    default unless it is None."""
+    for name in names:
+        parser.add_argument(f"--{name}", **FLAGS[name])
+    if verify is not None:
+        group = parser.add_mutually_exclusive_group()
+        group.add_argument("--verify", action="store_true", help="force dual-specialization check")
+        group.add_argument(
+            "--no-verify", dest="verify", action="store_false", help="skip dual-specialization check"
+        )
+        parser.set_defaults(verify=verify)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -309,26 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"severi {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--mode", choices=("p3", "p2"), default="p3")
-        p.add_argument("--spec", help="explicit torus values, e.g. 2,3,5,7", default=None)
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--jobs", type=int, default=1)
-        p.add_argument("--json", action="store_true")
-        p.add_argument("--timing", action="store_true")
-        p.add_argument("--cache-dir", default=None)
-        p.add_argument("--verify", action="store_true", help="force dual-specialization check")
-        p.add_argument("--no-verify", action="store_true", help="skip dual-specialization check")
-
     p_count = sub.add_parser("count", help="one nodal count")
     p_count.add_argument("--delta", type=int, required=True)
     p_count.add_argument("--degree", type=int, required=True)
-    common(p_count)
+    _flags(p_count, "mode", "spec", "seed", "jobs", "json", "timing", verify=False)
     p_count.set_defaults(func=cmd_count)
 
     p_poly = sub.add_parser("poly", help="reconstruct a node polynomial")
     p_poly.add_argument("--delta", type=int, required=True)
-    common(p_poly)
+    _flags(p_poly, "mode", "seed", "jobs", "json", "cache-dir", verify=True)
     p_poly.set_defaults(func=cmd_poly)
 
     p_check = sub.add_parser("check", help="verification suite")
@@ -343,11 +324,11 @@ def build_parser() -> argparse.ArgumentParser:
         default=8,
         help="largest delta of the table cases to run (8 runs everything)",
     )
-    common(p_check)
+    _flags(p_check, "mode", "spec", "seed", "jobs", "json")
     p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser("table", help="dump cached polynomials")
-    common(p_table)
+    _flags(p_table, "json", "cache-dir")
     p_table.set_defaults(func=cmd_table)
     return parser
 

@@ -1,28 +1,18 @@
-"""Symbolic integrand for the localized count of nodal curves.
+"""The data of the localized integrand that do not depend on a fixed point.
 
-For each point number i, node number delta and degree d, the class to be
-integrated over the length-i relative Hilbert scheme is assembled from four
-factors (total Chern class of the relative tangent bundle, the line/point
-incidence factor, the top Chern class of the twisted tautological bundle,
-and the truncated geometric series inverting its total Chern class), after
-which the projective-bundle variable xi is eliminated through the relation
+The class integrated over the length-i relative Hilbert scheme is the
+product of four factors (total Chern class of the relative tangent bundle,
+the line/point incidence factor, the top Chern class of the twisted
+tautological bundle, and the truncated geometric series inverting its total
+Chern class), with the projective-bundle variable xi eliminated through the
+Chern classes of the direct image of O_S(d).  That elimination leaves one
+Segre coefficient of the direct image per power of H.
 
-    xi^r = -c1 xi^{r-1} - c2 xi^{r-2} - c3 xi^{r-3},
-
-with c_j the Chern classes of the direct image of O_S(d) (polynomials in d
-and H), and the coefficient of xi^{r-1} extracted.  The result lives in the
-graded ring over H, c_1..c_i of the tautological bundle ("L1".."Li") and
-c_1..c_{2i} of the relative tangent bundle ("T1".."T2i").
-
-Because the reduction of xi^{r-1+t} contributes exactly the degree-t Segre
-coefficient of the direct image times H^t, only the xi-slots delta..delta+3
-of the four-factor product survive (delta..delta+cap without the H^4 rule),
-which keeps construction cheap even for large d.
-
-The count path never builds this integrand: ``localization`` evaluates the
-same factors chart by chart.  ``build_integrand`` is kept as the reference
-the tests compare that evaluator against; ``bps_coefficients``,
-``segre_coeffs`` and ``incidence_terms`` serve both.
+This module holds what ``localization`` needs besides the fixed-point
+weights: the spec of one integral (``IntegrandSpec``), the incidence terms,
+the Segre coefficients, and the unitriangular-inverse weights
+(``bps_coefficients``) that combine the integrals into a count.  The class
+itself, built symbolically, is the test reference in ``reference``.
 """
 
 from __future__ import annotations
@@ -31,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
 
-from .graded import GradedPoly, Symbol, SymbolTable, TruncationRules, graded_mul
 
 P3 = "p3"
 P2_FIXED = "p2"
@@ -106,20 +95,6 @@ def _sym_chern_coeffs(d: int):
     return (Fraction(1), a1, a2, a3)
 
 
-def h_only_table() -> SymbolTable:
-    return SymbolTable([Symbol("H", 1, 4)])
-
-
-def sym_chern(d: int) -> GradedPoly:
-    """Total Chern class of the direct image of O_S(d), as a polynomial in H."""
-    table = h_only_table()
-    coeffs = _sym_chern_coeffs(d)
-    out = GradedPoly.zero(table)
-    for k, c in enumerate(coeffs):
-        out = out + GradedPoly.monomial(table, {"H": k}, c)
-    return out
-
-
 def segre_coeffs(d: int, t_max: int) -> list[Fraction]:
     """rho_0..rho_{t_max} with rho_t the H^t coefficient of the Segre class.
 
@@ -185,115 +160,11 @@ def incidence_terms(spec: IntegrandSpec) -> list[tuple[int, int, int]]:
     return [(0, 3, 1)]
 
 
-def symbol_table(i: int) -> SymbolTable:
-    syms = [Symbol("H", 1, 4)]
-    syms += [Symbol(f"L{k}", k) for k in range(1, i + 1)]
-    syms += [Symbol(f"T{m}", m) for m in range(1, 2 * i + 1)]
-    return SymbolTable(syms)
+def __getattr__(name):
+    # PEP 562: names of the symbolic reference still looked up here; it is
+    # imported on first use, so the count path never loads it
+    if name in ("build_integrand", "graded_mul"):
+        from . import reference
 
-
-def default_rules(spec: IntegrandSpec) -> TruncationRules:
-    return TruncationRules(degree_cap=spec.dimension, nilpotent=True)
-
-
-def _xi_mul(a, b, table, slot_rules, xi_max):
-    """Multiply two xi-indexed lists of GradedPoly, pruning per target slot."""
-    out = [GradedPoly.zero(table) for _ in range(xi_max + 1)]
-    for ma, pa in enumerate(a):
-        if pa.is_zero():
-            continue
-        for mb, pb in enumerate(b):
-            m = ma + mb
-            if m > xi_max:
-                break
-            if pb.is_zero():
-                continue
-            out[m] = out[m] + graded_mul(pa, pb, slot_rules[m])
-    return out
-
-
-def build_integrand(spec: IntegrandSpec, rules: TruncationRules | None = None, series_bound: int | None = None) -> GradedPoly:
-    """The class to localize, as a GradedPoly in H, L1..Li, T1..T2i.
-
-    This symbolic form is the test reference for the factorized evaluator in
-    ``localization``, which computes the same integrals without building it.
-
-    ``rules`` defaults to the H^4 rule plus the dimension cap.  The cap is
-    part of the definition: equivariant representatives of classes above the
-    dimension of the Hilbert scheme would contribute specialization-dependent
-    noise to the residue sum.  ``series_bound`` overrides the geometric
-    series truncation (for the invariance test); raising it never changes
-    the result because higher powers die against the caps.
-    """
-    i, delta, d = spec.i, spec.delta, spec.d
-    if rules is None:
-        rules = default_rules(spec)
-    cap = rules.degree_cap if rules.degree_cap is not None else spec.dimension
-    table = symbol_table(i)
-    bound = spec.series_bound if series_bound is None else series_bound
-
-    t_top = 3 if rules.nilpotent else cap
-    xi_max = delta + t_top
-
-    # a term sitting in xi-slot m can only reach the output through final
-    # slots >= max(m, delta), picking up at least max(0, m - delta) extra
-    # H-degree from the Segre factor; prune against that bound
-    slot_rules = [
-        TruncationRules(degree_cap=cap - max(0, m - delta), nilpotent=rules.nilpotent)
-        for m in range(xi_max + 1)
-    ]
-
-    def zero_list():
-        return [GradedPoly.zero(table) for _ in range(xi_max + 1)]
-
-    one = GradedPoly.constant(table, 1)
-
-    # factor 1: total Chern class of the relative tangent bundle
-    c_tangent = one
-    for m in range(1, 2 * i + 1):
-        c_tangent = c_tangent + GradedPoly.monomial(table, {f"T{m}": 1})
-    f1 = zero_list()
-    f1[0] = c_tangent
-
-    # factor 2: incidence conditions
-    f2 = zero_list()
-    for s, j, c in incidence_terms(spec):
-        f2[s] = GradedPoly.monomial(table, {"H": j}, c)
-
-    # factor 3: c_i of the twisted tautological bundle (i <= delta <= xi_max)
-    f3 = zero_list()
-    f3[i] = one
-    for k in range(1, i + 1):
-        f3[i - k] = f3[i - k] + GradedPoly.monomial(table, {f"L{k}": 1})
-
-    # factor 4: truncated geometric series for 1/c of the twisted bundle
-    base = zero_list()
-    for k in range(0, i + 1):
-        mono = one if k == 0 else GradedPoly.monomial(table, {f"L{k}": 1})
-        for s in range(0, min(i - k, xi_max) + 1):
-            base[s] = base[s] + mono.scaled(-comb(i - k, s))
-    base[0] = base[0] + one  # the leading 1 of the series cancels the k=0, s=0 term
-
-    f4 = zero_list()
-    f4[0] = one
-    power = zero_list()
-    power[0] = one
-    for _ in range(1, bound + 1):
-        power = _xi_mul(power, base, table, slot_rules, xi_max)
-        if all(p.is_zero() for p in power):
-            break
-        for m in range(xi_max + 1):
-            f4[m] = f4[m] + power[m]
-
-    g = _xi_mul(_xi_mul(f3, f4, table, slot_rules, xi_max), f2, table, slot_rules, xi_max)
-    g = _xi_mul(g, f1, table, slot_rules, xi_max)
-
-    rho = segre_coeffs(d, t_top)
-    out = GradedPoly.zero(table)
-    for t in range(0, t_top + 1):
-        m = delta + t
-        if m > xi_max or g[m].is_zero() or rho[t] == 0:
-            continue
-        h_t = GradedPoly.monomial(table, {"H": t}, rho[t])
-        out = out + graded_mul(g[m], h_t, rules)
-    return out
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

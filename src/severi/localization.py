@@ -3,7 +3,7 @@
 The integral over the length-i relative Hilbert scheme is a sum over its
 torus-fixed points: a coordinate plane V_k and one partition (a monomial
 ideal) at each of the plane's three fixed points.  At such a point every
-factor of the integrand built in ``integrand.py`` multiplies over the three
+factor of the integrand (see ``integrand.py``) multiplies over the three
 charts: c(T_rel)/e(T_rel) over the Hilbert tangent weights, and
 c_i(E (x) xi)/c(E (x) xi) over the tautological cell weights.  Only the
 incidence factor, the Segre coefficient, the power of H and the
@@ -53,16 +53,12 @@ sums make any order give the identical result.
 The full count for (delta, d) is the linear combination of the integrals
 for i = 0..delta with the unitriangular-inverse weights; the combination is
 always an integer and that is asserted, never rounded.
-
-``_reference_integral`` computes the same integral the old way, by building
-the symbolic integrand and evaluating it at every fixed point.  It is kept
-only as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import repeat
@@ -70,17 +66,8 @@ from math import comb, lcm, prod
 from operator import mul
 from typing import NamedTuple
 
-from .graded import GradedPoly, TruncationRules
-from .integrand import (
-    P3,
-    IntegrandSpec,
-    bps_coefficients,
-    build_integrand,
-    genus,
-    incidence_terms,
-    segre_coeffs,
-)
-from .partitions import FixedPoint, enumerate_fixed_points, partitions, plane_points
+from .integrand import P3, IntegrandSpec, bps_coefficients, genus, incidence_terms, segre_coeffs
+from .partitions import partitions, plane_points
 from .weights import (
     NonGenericSpecialization,
     Specialization,
@@ -90,7 +77,6 @@ from .weights import (
     h_weight,
     hilb_tangent_weights,
     taut_cell_weight,
-    taut_weights,
 )
 
 DEFAULT_RETRIES = 8
@@ -450,7 +436,9 @@ def integrate(
     if jobs <= 1 or points < 64:
         parts = list(map(_plane_integrals, *args))
     else:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        # looked up on the module, so that a wrapper bound there (the
+        # benchmark's tracer binds one) is the pool that runs
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
             parts = list(pool.map(_plane_integrals, *args))
     by_degree = {
         d: tuple(sum(column, Fraction(0)) for column in zip(*per_plane))
@@ -468,103 +456,6 @@ def integrate(
         d=spec.d,
         mode=spec.mode,
     )
-
-
-# -- the symbolic reference path (tests only) -------------------------------------
-
-
-def _compile_terms(integrand: GradedPoly):
-    """Flatten to (sparse exponent list, coefficient) pairs for fast evaluation.
-
-    Coefficients with denominator 1 are downgraded to plain ints so the hot
-    loop runs on Python bignums.
-    """
-    names = integrand.table.names
-    terms = []
-    for exps, coeff in integrand.terms.items():
-        sparse = tuple((idx, e) for idx, e in enumerate(exps) if e)
-        c = coeff.numerator if coeff.denominator == 1 else coeff
-        terms.append((sparse, c))
-    return names, terms
-
-
-def _point_values(fp: FixedPoint, d: int, spec: Specialization, names):
-    """Symbol values at a fixed point, plus the euler factor.
-
-    Returns (values aligned with ``names``, euler) or raises on a vanishing
-    tangent weight.
-    """
-    k = fp.plane
-    gr_vals = [spec.value(w) for w in gr_tangent_weights(k)]
-    hilb_vals = []
-    for m, mu in zip(plane_points(k), fp.tri):
-        if not mu:
-            continue
-        t1, t2 = chart_weights(k, m)
-        hilb_vals.extend(spec.value(w) for w in hilb_tangent_weights(mu, t1, t2))
-    euler = Fraction(1)
-    for v in gr_vals + hilb_vals:
-        if v == 0:
-            raise NonGenericSpecialization("non-generic specialization")
-        euler *= v
-
-    taut_vals = [spec.value(w) for w in taut_weights(fp, d)] if fp.length() else []
-
-    by_name = {"H": spec.value(h_weight(k))}
-    cl = _elementary_symmetric(taut_vals)
-    for j, v in enumerate(cl, start=1):
-        by_name[f"L{j}"] = v
-    ct = _elementary_symmetric(hilb_vals)
-    for j, v in enumerate(ct, start=1):
-        by_name[f"T{j}"] = v
-
-    values = []
-    for name in names:
-        v = by_name[name]
-        values.append(v.numerator if v.denominator == 1 else v)
-    return values, euler
-
-
-def _elementary_symmetric(values):
-    es = [Fraction(1)] + [Fraction(0)] * len(values)
-    for k, v in enumerate(values, start=1):
-        for j in range(k, 0, -1):
-            es[j] += v * es[j - 1]
-    return es[1:]
-
-
-def _eval_terms(terms, values):
-    """Evaluate compiled terms at symbol values, with cached power tables."""
-    powers = [[1, v] for v in values]
-    total = 0
-    for sparse, coeff in terms:
-        acc = coeff
-        for idx, e in sparse:
-            table = powers[idx]
-            while len(table) <= e:
-                table.append(table[-1] * table[1])
-            acc *= table[e]
-        total += acc
-    return total
-
-
-def _sum_over_points(terms, names, points, d, spec):
-    total = Fraction(0)
-    for fp in points:
-        values, euler = _point_values(fp, d, spec, names)
-        num = _eval_terms(terms, values)
-        if num:
-            total += Fraction(num) / euler
-    return total
-
-
-def _reference_integral(
-    spec: IntegrandSpec, specialization: Specialization, h4_rule: bool = True
-) -> Fraction:
-    """The integral from the symbolic integrand, evaluated at every fixed point."""
-    rules = TruncationRules(degree_cap=spec.dimension, nilpotent=h4_rule)
-    names, terms = _compile_terms(build_integrand(spec, rules))
-    return _sum_over_points(terms, names, enumerate_fixed_points(spec.i), spec.d, specialization)
 
 
 # -- the count ----------------------------------------------------------------------
@@ -673,3 +564,17 @@ def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
 
 def default_jobs() -> int:
     return max(1, min(4, os.cpu_count() or 1))
+
+
+def __getattr__(name):
+    # PEP 562: the process pool and the symbolic reference are imported on
+    # first use, so importing the count path loads neither
+    if name == "ProcessPoolExecutor":
+        from concurrent.futures import ProcessPoolExecutor
+
+        return ProcessPoolExecutor
+    if name in ("build_integrand", "_compile_terms", "_sum_over_points"):
+        from . import reference
+
+        return getattr(reference, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

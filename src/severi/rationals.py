@@ -11,11 +11,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-Rat = Fraction
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
-
 
 def rat(value) -> Fraction:
     """Coerce an int, a ``p/q`` string or a Fraction to an exact Fraction.
@@ -33,7 +28,3 @@ def rat(value) -> Fraction:
 def rat_str(value: Fraction) -> str:
     """Serialize as ``p/q`` (or plain ``p`` when the denominator is 1)."""
     return str(rat(value))
-
-
-def rat_from_str(text: str) -> Fraction:
-    return Fraction(text)

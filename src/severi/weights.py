@@ -43,8 +43,6 @@ from .rationals import rat
 
 Character = tuple[int, int, int, int]
 
-CHAR_ONE: Character = (0, 0, 0, 0)
-
 
 def char_mul(a: Character, b: Character) -> Character:
     return (a[0] + b[0], a[1] + b[1], a[2] + b[2], a[3] + b[3])
@@ -181,64 +179,3 @@ def taut_cell_weight(plane: int, point: int, cell: tuple[int, int], d: int) -> C
 def h_weight(plane: int) -> Character:
     """Restriction weight of O_Gr(1) at the plane V_plane."""
     return _balanced(char_ratio(plane, 0))
-
-
-@dataclass(frozen=True)
-class WeightSystem:
-    """All bundle weights attached to one fixed point (for a given degree d)."""
-
-    fixed_point: FixedPoint
-    tangent_gr: tuple[Character, ...]
-    tangent_hilb: tuple[Character, ...]
-    taut: tuple[Character, ...]
-    h: Character
-
-
-def weight_system(fp: FixedPoint, d: int) -> WeightSystem:
-    hilb: list[Character] = []
-    for m, mu in zip(plane_points(fp.plane), fp.tri):
-        if not mu:
-            continue
-        t1, t2 = chart_weights(fp.plane, m)
-        hilb.extend(hilb_tangent_weights(mu, t1, t2))
-    i = fp.length()
-    assert len(hilb) == 2 * i
-    taut = taut_weights(fp, d)
-    assert len(taut) == i
-    return WeightSystem(
-        fixed_point=fp,
-        tangent_gr=tuple(gr_tangent_weights(fp.plane)),
-        tangent_hilb=tuple(hilb),
-        taut=tuple(taut),
-        h=h_weight(fp.plane),
-    )
-
-
-def euler_class(fp: FixedPoint, spec: Specialization) -> Fraction:
-    """Product of all specialized tangent weights at an isolated fixed point."""
-    total = Fraction(1)
-    for w in gr_tangent_weights(fp.plane):
-        v = spec.value(w)
-        if v == 0:
-            raise NonGenericSpecialization("non-generic specialization")
-        total *= v
-    for m, mu in zip(plane_points(fp.plane), fp.tri):
-        if not mu:
-            continue
-        t1, t2 = chart_weights(fp.plane, m)
-        for w in hilb_tangent_weights(mu, t1, t2):
-            v = spec.value(w)
-            if v == 0:
-                raise NonGenericSpecialization("non-generic specialization")
-            total *= v
-    return total
-
-
-def chern_values(ws, spec: Specialization) -> list[Fraction]:
-    """Elementary symmetric functions e_1..e_n of the specialized weights."""
-    values = [spec.value(w) for w in ws]
-    es = [Fraction(1)] + [Fraction(0)] * len(values)
-    for k, v in enumerate(values, start=1):
-        for j in range(k, 0, -1):
-            es[j] += v * es[j - 1]
-    return es[1:]

@@ -16,7 +16,10 @@ def fresh_calibration():
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse rejects the command line
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -96,7 +99,42 @@ def test_poly_rejects_spec(capsys, tmp_path):
         capsys, "poly", "--delta", "1", "--spec", "2,3,5,7", "--cache-dir", str(tmp_path)
     )
     assert code == 2 and out == ""
-    assert "poly does not take --spec" in err
+    assert "unrecognized arguments: --spec" in err
+    assert not list(tmp_path.iterdir())
+
+
+REQUIRED = {"count": ("--delta", "1", "--degree", "2"), "poly": ("--delta", "1")}
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("count", ("--cache-dir", "x")),
+        ("poly", ("--spec", "1,2,3,4")),
+        ("poly", ("--timing",)),
+        ("check", ("--verify",)),
+        ("check", ("--no-verify",)),
+        ("check", ("--cache-dir", "x")),
+        ("check", ("--timing",)),
+        ("table", ("--mode", "p2")),
+        ("table", ("--spec", "1,2,3,4")),
+        ("table", ("--seed", "1")),
+        ("table", ("--jobs", "3")),
+        ("table", ("--timing",)),
+        ("table", ("--verify",)),
+        ("table", ("--no-verify",)),
+        ("count", ("--verify", "--no-verify")),
+        ("poly", ("--no-verify", "--verify")),
+    ],
+)
+def test_flags_a_subcommand_does_not_read_exit_2(capsys, monkeypatch, tmp_path, command, flags):
+    # every flag a subcommand accepts has an effect, and --verify and
+    # --no-verify exclude each other; anything else is refused before any work
+    monkeypatch.setenv("SEVERI_CACHE_DIR", str(tmp_path))
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, command, *REQUIRED.get(command, ()), *flags)
+    assert code == 2 and out == ""
+    assert flags[0] in err
     assert not list(tmp_path.iterdir())
 
 

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from severi.graded import (
+from severi.reference import (
     GradedPoly,
     Symbol,
     SymbolTable,

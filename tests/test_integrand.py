@@ -2,20 +2,23 @@ from fractions import Fraction
 
 import pytest
 
-from severi.graded import GradedPoly, TruncationRules
 from severi.integrand import (
     IntegrandSpec,
     P2_FIXED,
     bps_coefficients,
-    build_integrand,
     general_binomial,
     genus,
-    h_only_table,
     segre_coeffs,
+)
+from severi.oracles import _one_minus_q_power, bps_series_check
+from severi.reference import (
+    GradedPoly,
+    TruncationRules,
+    build_integrand,
+    h_only_table,
     sym_chern,
     symbol_table,
 )
-from severi.oracles import _one_minus_q_power, bps_series_check
 
 
 @pytest.mark.parametrize("d,g", [(1, 0), (2, 0), (3, 1), (4, 3), (5, 6)])
@@ -117,7 +120,7 @@ def test_integrand_spec_validation():
 
 
 def test_build_integrand_zero_case():
-    from severi.graded import eval_graded
+    from severi.reference import eval_graded
 
     q = build_integrand(IntegrandSpec(i=0, delta=0, d=1))
     assert q.is_zero()

@@ -6,17 +6,10 @@ from math import lcm
 import pytest
 
 import severi.localization as localization
-from severi.integrand import IntegrandSpec, P2_FIXED, P3, build_integrand
-from severi.localization import (
-    _compile_terms,
-    _plane_integrals,
-    _reference_integral,
-    _sum_over_points,
-    count_nodal,
-    integrate,
-    nodal_counts,
-)
+from severi.integrand import IntegrandSpec, P2_FIXED, P3
+from severi.localization import _plane_integrals, count_nodal, integrate, nodal_counts
 from severi.partitions import enumerate_fixed_points, partitions, plane_points
+from severi.reference import _compile_terms, _reference_integral, _sum_over_points, build_integrand
 from severi.weights import NonGenericSpecialization, Specialization, taut_cell_weight
 
 SP = Specialization.default()

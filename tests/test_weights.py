@@ -3,6 +3,7 @@ from itertools import permutations
 
 import pytest
 
+import severi.localization as localization
 from severi.oracles import hilb_weights_match_oracle, hom_tangent_exponents
 from severi.partitions import FixedPoint, enumerate_fixed_points, partitions, plane_points
 from severi.weights import (
@@ -10,14 +11,11 @@ from severi.weights import (
     Specialization,
     char_ratio,
     chart_weights,
-    chern_values,
-    euler_class,
     gr_tangent_weights,
     h_weight,
     hilb_tangent_weights,
     taut_cell_weight,
     taut_weights,
-    weight_system,
 )
 
 SP = Specialization.default()
@@ -154,9 +152,22 @@ def test_cell_weights_are_affine_in_d_with_one_slope_per_chart():
 def test_all_characters_balanced():
     for i in range(4):
         for fp in enumerate_fixed_points(i):
-            ws = weight_system(fp, 2)
-            for c in ws.tangent_gr + ws.tangent_hilb + ws.taut + (ws.h,):
+            chars = gr_tangent_weights(fp.plane) + taut_weights(fp, 2) + [h_weight(fp.plane)]
+            for m, mu in zip(plane_points(fp.plane), fp.tri):
+                chars += hilb_tangent_weights(mu, *chart_weights(fp.plane, m))
+            for c in chars:
                 assert sum(c) == 0
+
+
+def tangent_product(fp, spec):
+    """The product of the specialized Grassmannian and Hilbert tangent weights."""
+    total = Fraction(1)
+    for w in gr_tangent_weights(fp.plane):
+        total *= spec.value(w)
+    for m, mu in zip(plane_points(fp.plane), fp.tri):
+        for w in hilb_tangent_weights(mu, *chart_weights(fp.plane, m)):
+            total *= spec.value(w)
+    return total
 
 
 def test_euler_class_rank_zero_and_one():
@@ -164,14 +175,14 @@ def test_euler_class_rank_zero_and_one():
     expected = Fraction(1)
     for w in gr_tangent_weights(2):
         expected *= SP.value(w)
-    assert euler_class(fp0, SP) == expected
+    assert tangent_product(fp0, SP) == expected
 
     fp1 = FixedPoint(2, ((1,), (), ()))
     t1, t2 = chart_weights(2, 0)
     hilb = Fraction(1)
     for w in hilb_tangent_weights((1,), t1, t2):
         hilb *= SP.value(w)
-    assert euler_class(fp1, SP) == expected * hilb
+    assert tangent_product(fp1, SP) == expected * hilb
 
 
 def test_euler_translation_invariance():
@@ -180,38 +191,21 @@ def test_euler_translation_invariance():
     # every specialized weight
     shifted = Specialization(tuple(v + 11 for v in SP.values))
     for fp in enumerate_fixed_points(2)[:12]:
-        assert euler_class(fp, SP) == euler_class(fp, shifted)
+        assert tangent_product(fp, SP) == tangent_product(fp, shifted)
 
 
 def test_non_generic_specialization_raises():
     # mu = (2,2) has a cell with arm 1, leg 1: its weight -2 t1 + t2 ...
     # vanishes when the chart values line up 2:1
     bad = Specialization((Fraction(1), Fraction(2), Fraction(4), Fraction(3)))
-    fp = FixedPoint(0, (((2, 2)), (), ()))
+    exponents = {(2, 2): localization._tangent_exponents(4)[(2, 2)]}
     found = False
     for spec in (bad, Specialization((1, 3, 5, 4))):
         try:
-            euler_class(fp, spec)
+            localization._chart_tangents(0, 1, exponents, spec.value)
         except NonGenericSpecialization:
             found = True
     assert found
-
-
-def test_chern_values():
-    assert chern_values([(1, 0, 0, 0)], Specialization((2, 3, 5, 7))) == [2]
-    sp = Specialization((2, 3, 5, 7))
-    vals = chern_values([(1, 0, 0, 0), (0, 1, 0, 0)], sp)
-    assert vals == [5, 6]  # e1 = 2 + 3, e2 = 2 * 3
-
-
-def test_chern_top_is_product():
-    fp = FixedPoint(1, ((2,), (1,), ()))
-    ws = weight_system(fp, 3)
-    cs = chern_values(ws.tangent_hilb, SP)
-    prod = Fraction(1)
-    for w in ws.tangent_hilb:
-        prod *= SP.value(w)
-    assert cs[-1] == prod
 
 
 def test_h_weight():
