@@ -46,20 +46,8 @@ def general_binomial(m: int, k: int) -> int:
     return result
 
 
-@dataclass(frozen=True)
-class BPSCoefficients:
-    """Row delta of the inverse of the unitriangular change-of-variable matrix."""
-
-    a: tuple[Fraction, ...]
-    g: int
-
-    @property
-    def delta(self) -> int:
-        return len(self.a) - 1
-
-
-def bps_coefficients(delta: int, g: int) -> BPSCoefficients:
-    """Weights a_0..a_delta with a_delta = 1.
+def bps_coefficients(delta: int, g: int) -> tuple[int, ...]:
+    """Integer weights a_0..a_delta with a_delta = 1.
 
     The matrix M[j][i] = (-1)^(j-i) * binom(2(g-i)-2, j-i), 0 <= i <= j <=
     delta, expresses the Hilbert-scheme classes in terms of the BPS-style
@@ -79,7 +67,7 @@ def bps_coefficients(delta: int, g: int) -> BPSCoefficients:
     a[delta] = 1
     for i in range(delta - 1, -1, -1):
         a[i] = -sum(a[j] * m_entry(j, i) for j in range(i + 1, delta + 1))
-    return BPSCoefficients(a=tuple(map(Fraction, a)), g=g)
+    return tuple(a)
 
 
 def _sym_chern_coeffs(d: int):

@@ -44,11 +44,12 @@ readouts are redone per degree.  Nothing is kept between calls.
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
 changes nothing.  A vanishing tangent weight raises
-``NonGenericSpecialization`` for the caller to resample; every plane unit
-checks the tangent weights of all twelve charts before it forms any series,
-so a non-generic draw fails at once everywhere.  Planes are independent
-work units and the optional process pool evaluates them in parallel; exact
-sums make any order give the identical result.
+``NonGenericSpecialization``, and a count moves on to another specialization
+only if the caller gave none (see ``nodal_counts``); every plane unit checks
+the tangent weights of all twelve charts before it forms any series, so a
+non-generic draw fails at once everywhere.  Planes are independent work
+units and the optional process pool evaluates them in parallel; exact sums
+make any order give the identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
 for i = 0..delta with the unitriangular-inverse weights; the combination is
@@ -61,7 +62,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import comb, lcm, prod
 from operator import mul
 from typing import NamedTuple
@@ -79,20 +80,12 @@ from .weights import (
     taut_cell_weight,
 )
 
-DEFAULT_RETRIES = 8
-
-
 @dataclass(frozen=True)
 class IntegralResult:
     value: Fraction
     values: tuple[Fraction, ...]
     by_degree: dict[int, tuple[Fraction, ...]]
-    spec_used: Specialization
     fixed_point_count: int
-    i: int
-    delta: int
-    d: int
-    mode: str
 
 
 # -- the factorized evaluator ---------------------------------------------------
@@ -419,9 +412,8 @@ def integrate(
     shears them to the others, whatever the number of degrees.
 
     Raises NonGenericSpecialization if a tangent weight at some size
-    <= spec.i vanishes; the caller is responsible for resampling (see
-    ``nodal_counts``).  With ``jobs`` > 1 and at least 64 fixed points at
-    spec.i the four planes go to one process pool.
+    <= spec.i vanishes.  With ``jobs`` > 1 and at least 64 fixed points at
+    spec.i the four planes go to one process pool of at most four workers.
     """
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
@@ -437,8 +429,9 @@ def integrate(
         parts = list(map(_plane_integrals, *args))
     else:
         # looked up on the module, so that a wrapper bound there (the
-        # benchmark's tracer binds one) is the pool that runs
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=jobs) as pool:
+        # benchmark's tracer binds one) is the pool that runs; a worker
+        # beyond the four plane units would only be forked to idle
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(jobs, 4)) as pool:
             parts = list(pool.map(_plane_integrals, *args))
     by_degree = {
         d: tuple(sum(column, Fraction(0)) for column in zip(*per_plane))
@@ -449,50 +442,44 @@ def integrate(
         value=values[-1],
         values=values,
         by_degree=by_degree,
-        spec_used=specialization,
         fixed_point_count=points,
-        i=i,
-        delta=spec.delta,
-        d=spec.d,
-        mode=spec.mode,
     )
 
 
 # -- the count ----------------------------------------------------------------------
 
+# how many seeded draws a count without a given specialization may try
+_DRAWS = 8
 
-def _run_all_integrals(delta, ds, mode, specialization, h4_rule, jobs, retries, seed):
-    """The integrals i = 0..delta at every degree of ``ds`` under one
-    specialization, from one ``integrate`` call, resampling on a
-    non-generic draw.
 
-    The degree cap is pinned to the dimension 3+2i of each Hilbert scheme:
-    equivariant representatives above the dimension would push forward to
-    nonconstant polynomials in the torus parameters.  Only the H^4 rule is
-    a free toggle.
+def _draws(seed: int):
+    """The draws from_seed(seed*1000003 + k), k = 1.._DRAWS, built as tried."""
+    for k in range(1, _DRAWS + 1):
+        yield Specialization.from_seed(seed * 1000003 + k)
+
+
+def _first_generic(spec: IntegrandSpec, candidates, **options):
+    """``integrate`` under each candidate specialization in turn, until one is
+    generic: (the result, that specialization).
+
+    Raises NonGenericSpecialization naming every candidate tried if none is.
     """
-    spec = IntegrandSpec(i=delta, delta=delta, d=ds[0], mode=mode)
-    attempt = 0
-    spec_used = specialization
-    while True:
+    tried = []
+    for specialization in candidates:
         try:
-            result = integrate(spec, spec_used, h4_rule=h4_rule, jobs=jobs, degrees=ds)
-            return result, spec_used
-        except NonGenericSpecialization as exc:
-            attempt += 1
-            if attempt > retries:
-                values = ",".join(spec_used.describe())
-                raise NonGenericSpecialization(
-                    f"specialization {values} is not generic for delta={delta}:"
-                    " a Hilbert tangent weight vanishes"
-                ) from exc
-            spec_used = Specialization.from_seed(seed * 1000003 + attempt)
+            return integrate(spec, specialization, **options), specialization
+        except NonGenericSpecialization:
+            tried.append(",".join(specialization.describe()))
+    raise NonGenericSpecialization(
+        f"not generic for delta={spec.delta}: a Hilbert tangent weight vanishes"
+        f" under {'; '.join(tried)}"
+    )
 
 
-class NodalCount(NamedTuple):
-    """A count and the specialization that produced it, after any resampling."""
+class Counts(NamedTuple):
+    """The counts at each degree, in order, and the specialization used."""
 
-    value: int
+    values: tuple[int, ...]
     specialization: Specialization
 
 
@@ -506,50 +493,46 @@ def nodal_counts(
     verify: bool = False,
     jobs: int = 1,
     h4_rule: bool = True,
-    retries: int = DEFAULT_RETRIES,
-) -> list[NodalCount]:
-    """The counts for ``delta`` at each degree of ``ds``, in order, all from
-    one ``integrate`` call per specialization attempt.
+) -> Counts:
+    """The counts for ``delta`` at each degree of ``ds``, all from one
+    ``integrate`` call under one specialization.
 
-    ``specialization`` (default: ``Specialization.default()``) is replaced
-    by one drawn from ``seed`` if a tangent weight vanishes, at most
-    ``retries`` times; every count carries the one actually used.  With
-    ``verify`` on, every integral at every degree is recomputed under a
-    second generic specialization and the two runs must agree exactly.
-    ``h4_rule`` toggles the H^4 = 0 pruning of the symbolic representative;
-    the counts must not depend on it.
+    A given ``specialization`` is used as given: if a tangent weight
+    vanishes under it, this raises NonGenericSpecialization naming its
+    values.  Without one, the default is tried first and then the seeded
+    draws of ``seed``, until one is generic.  With ``verify`` on, every
+    integral at every degree is recomputed under the first generic seeded
+    draw that differs from the specialization used, and the two runs must
+    agree exactly.  ``h4_rule`` toggles the H^4 = 0 pruning of the symbolic
+    representative; the counts must not depend on it.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
     ds = tuple(ds)
     if not ds:
         raise ValueError("need at least one degree")
-    spec0 = specialization if specialization is not None else Specialization.default()
-    result, spec_used = _run_all_integrals(delta, ds, mode, spec0, h4_rule, jobs, retries, seed)
+    spec = IntegrandSpec(i=delta, delta=delta, d=ds[0], mode=mode)
+    options = dict(h4_rule=h4_rule, jobs=jobs, degrees=ds)
+    if specialization is None:
+        candidates = chain((Specialization.default(),), _draws(seed))
+    else:
+        candidates = (specialization,)
+    result, used = _first_generic(spec, candidates, **options)
     if verify:
-        spec1 = Specialization.from_seed(seed * 7919 + 1)
-        if spec1.values == spec0.values:
-            spec1 = Specialization.from_seed(seed * 7919 + 2)
-        result1, _ = _run_all_integrals(delta, ds, mode, spec1, h4_rule, jobs, retries, seed + 1)
+        check, _ = _first_generic(spec, (s for s in _draws(seed) if s != used), **options)
         for d in ds:
-            for i, (v0, v1) in enumerate(zip(result.by_degree[d], result1.by_degree[d])):
+            for i, (v0, v1) in enumerate(zip(result.by_degree[d], check.by_degree[d])):
                 if v0 != v1:
                     raise ArithmeticError(
                         f"specialization disagreement at d={d}, i={i}: {v0} vs {v1}"
                     )
     counts = []
     for d in ds:
-        coeffs = bps_coefficients(delta, genus(d)).a
-        total = sum(map(mul, coeffs, result.by_degree[d]), Fraction(0))
+        total = sum(map(mul, bps_coefficients(delta, genus(d)), result.by_degree[d]), Fraction(0))
         if total.denominator != 1:
             raise ArithmeticError(f"convention or arithmetic fault: non-integer count {total}")
-        counts.append(NodalCount(total.numerator, spec_used))
-    return counts
-
-
-def nodal_count(delta: int, d: int, mode: str = P3, **options) -> NodalCount:
-    """``count_nodal`` together with the specialization actually used."""
-    return nodal_counts(delta, (d,), mode, **options)[0]
+        counts.append(total.numerator)
+    return Counts(tuple(counts), used)
 
 
 def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
@@ -559,7 +542,7 @@ def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
 
     The keyword options are those of ``nodal_counts``.
     """
-    return nodal_count(delta, d, mode, **options).value
+    return nodal_counts(delta, (d,), mode, **options).values[0]
 
 
 def default_jobs() -> int:

@@ -26,6 +26,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
+from math import factorial
 
 from .integrand import P3, IntegrandSpec, MODES
 # count_nodal is not called here any more; the benchmark's tracer
@@ -51,16 +52,13 @@ class NodePolynomialRecord:
 
     def ordered_polynomial(self) -> UniPoly:
         """delta! times the polynomial (the ordered-nodes normalization)."""
-        f = 1
-        for k in range(2, self.delta + 1):
-            f *= k
-        return self.polynomial.scaled(f)
+        return self.polynomial.scaled(factorial(self.delta))
 
 
-def valid_degrees(delta: int, mode: str, count: int, start: int | None = None) -> list[int]:
+def valid_degrees(delta: int, mode: str, count: int) -> list[int]:
     """The first ``count`` degrees d >= delta + 1 admitting the integral."""
     out = []
-    d = max(1, delta + 1) if start is None else start
+    d = delta + 1
     while len(out) < count:
         try:
             IntegrandSpec(i=0, delta=delta, d=d, mode=mode)
@@ -79,14 +77,12 @@ def node_polynomial(
     seed: int = 0,
     verify: bool = False,
     jobs: int = 1,
-    progress=None,
 ) -> NodePolynomialRecord:
     """Interpolate the node polynomial for ``delta`` and check stability.
 
     All samples come from one ``nodal_counts`` call.  ``verify``
     additionally runs every localization sample under a second
-    specialization.  ``progress`` may be a callable taking (d, value); it is
-    invoked once per sample degree, in order, after all of them are counted.
+    specialization.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -96,11 +92,7 @@ def node_polynomial(
     ds = valid_degrees(delta, mode, n_samples + 2)
     sample_ds, check_ds = ds[:n_samples], ds[n_samples:]
 
-    counts = nodal_counts(delta, ds, mode, seed=seed, verify=verify, jobs=jobs)
-    values = [c.value for c in counts]
-    if progress is not None:
-        for d, value in zip(ds, values):
-            progress(d, value)
+    values = nodal_counts(delta, ds, mode, seed=seed, verify=verify, jobs=jobs).values
     poly = lagrange_interpolate(list(zip(sample_ds, values)))
     for d, value in zip(check_ds, values[n_samples:]):
         if poly(d) != value:
@@ -200,7 +192,6 @@ def node_polynomial_cached(
     seed: int = 0,
     verify: bool = False,
     jobs: int = 1,
-    progress=None,
 ) -> NodePolynomialRecord:
     """The cached record, or a fresh one that replaces it.
 
@@ -209,6 +200,6 @@ def node_polynomial_cached(
     rec = load(delta, mode, cache_dir)
     if rec is not None and (rec.verified or not verify):
         return rec
-    rec = node_polynomial(delta, mode, seed=seed, verify=verify, jobs=jobs, progress=progress)
+    rec = node_polynomial(delta, mode, seed=seed, verify=verify, jobs=jobs)
     store(rec, cache_dir)
     return rec

@@ -45,7 +45,7 @@ def bps_series_check(delta: int, g: int, trials: int = 2, seed: int = 0) -> bool
     c_0..c_delta must recombine to x_delta through the production weights.
     """
     rng = random.Random(seed * 1009 + delta * 31 + g)
-    a = bps_coefficients(delta, g).a
+    a = bps_coefficients(delta, g)
     for _ in range(trials):
         xs = [rng.randint(-50, 50) for _ in range(delta + 1)]
         c = [Fraction(0)] * (delta + 1)

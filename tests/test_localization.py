@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from helpers import reference_count
 
 import severi.localization as localization
 from severi.integrand import IntegrandSpec, P2_FIXED, P3
@@ -76,33 +77,123 @@ def test_parallel_matches_serial():
     assert count_nodal(2, 3, jobs=2) == 15660
 
 
-def test_resampling_on_degenerate_values():
-    # (1, 2, 4, 3) makes a Hilbert tangent weight vanish on the square
-    # partition; the run must recover by resampling and still be exact
-    bad = Specialization((Fraction(1), Fraction(2), Fraction(4), Fraction(3)))
-    assert count_nodal(4, 4, specialization=bad) == 3071796
+def integrate_calls(monkeypatch) -> list:
+    """The specialization of every ``integrate`` call a count makes, from now on."""
+    calls = []
+    real = localization.integrate
+
+    def spied(spec, specialization, **kw):
+        calls.append(specialization)
+        return real(spec, specialization, **kw)
+
+    monkeypatch.setattr(localization, "integrate", spied)
+    return calls
 
 
-def test_integral_result_echo():
-    res = integrate(IntegrandSpec(i=1, delta=2, d=3, mode=P2_FIXED), SP)
-    assert (res.i, res.delta, res.d, res.mode) == (1, 2, 3, P2_FIXED)
-    assert res.spec_used is SP
+def non_generic_default(monkeypatch) -> None:
+    monkeypatch.setattr(
+        localization.Specialization, "default", classmethod(lambda cls: NON_GENERIC)
+    )
 
 
-def test_default_specialization_is_generic_up_to_i16():
-    # the longest supported job is the fixed-plane delta = 15 polynomial
-    exponents = localization._tangent_exponents(16)
+def test_given_non_generic_specialization_raises_naming_its_values(monkeypatch):
+    # a specialization the caller gives is used as given or not at all
+    calls = integrate_calls(monkeypatch)
+    with pytest.raises(NonGenericSpecialization, match="2,3,5,7"):
+        count_nodal(3, 4, specialization=NON_GENERIC)
+    # (1, 2, 4, 3) makes a Hilbert tangent weight vanish on the square partition
+    bad = Specialization((1, 2, 4, 3))
+    with pytest.raises(NonGenericSpecialization, match="1,2,4,3"):
+        nodal_counts(4, (4, 5), specialization=bad, verify=True)
+    assert calls == [NON_GENERIC, bad]
+
+
+def test_resampling_on_degenerate_values(monkeypatch):
+    # with no specialization given, a non-generic default is replaced by the
+    # first seeded draw, once for all degrees, and the counts stay exact
+    non_generic_default(monkeypatch)
+    calls = integrate_calls(monkeypatch)
+    counts = nodal_counts(3, (3, 4), seed=2)
+    draw = Specialization.from_seed(2 * 1000003 + 1)
+    assert calls == [NON_GENERIC, draw]
+    assert counts.specialization == draw
+    assert counts.values == (7280, reference_count(3, 4))
+
+
+def test_verify_uses_the_first_other_generic_draw(monkeypatch):
+    # verification draws from the same sequence as resampling, and never
+    # checks a count under the specialization that produced it
+    calls = integrate_calls(monkeypatch)
+    draws = [Specialization.from_seed(5 * 1000003 + k) for k in (1, 2)]
+    assert nodal_counts(2, (3,), seed=5, verify=True) == ((15660,), SP)
+    assert calls == [SP, draws[0]]
+    calls.clear()
+    assert nodal_counts(2, (3,), specialization=draws[0], seed=5, verify=True).values == (15660,)
+    assert calls == draws
+    calls.clear()
+    non_generic_default(monkeypatch)
+    assert nodal_counts(3, (3,), seed=5, verify=True) == ((7280,), draws[0])
+    assert calls == [NON_GENERIC, draws[0], draws[1]]
+
+
+def test_no_generic_draw_raises_naming_every_candidate(monkeypatch):
+    monkeypatch.setattr(localization.Specialization, "from_seed", lambda seed: NON_GENERIC)
+    non_generic_default(monkeypatch)
+    calls = integrate_calls(monkeypatch)
+    with pytest.raises(NonGenericSpecialization, match="2,3,5,7; 2,3,5,7"):
+        count_nodal(3, 3)
+    assert len(calls) == 1 + localization._DRAWS
+
+
+def test_process_pool_is_capped_at_the_four_plane_units(monkeypatch):
+    # a worker beyond the four plane units would be forked only to idle
+    asked = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    # set on the module itself, where integrate looks the pool up
+    monkeypatch.setitem(vars(localization), "ProcessPoolExecutor", SerialPool)
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    serial = integrate(s, SP).values
+    assert integrate(s, SP, jobs=64).values == serial
+    assert integrate(s, SP, jobs=3).values == serial
+    assert asked == [4, 3]
+
+
+def test_default_specialization_is_generic_up_to_i17_not_i18():
+    # the longest supported job is the fixed-plane delta = 15 polynomial, and
+    # the default is claimed generic up to size 17; at size 18 it is not, so
+    # the resampling of an unset specialization is reachable
+    exponents = localization._tangent_exponents(18)
     values = [v.numerator for v in SP.values]
     assert all(v.denominator == 1 for v in SP.values)
 
     def value(char):
         return sum(c * v for c, v in zip(char, values))
 
+    up_to_17 = {mu: pairs for mu, pairs in exponents.items() if sum(mu) <= 17}
+    vanishing = 0
     for k in range(4):
         for m in plane_points(k):
-            tangents = localization._chart_tangents(k, m, exponents, value)  # raises if one is 0
-            assert len(tangents) == len(exponents)
-    assert len(exponents) == sum(len(list(partitions(n))) for n in range(1, 17))
+            tangents = localization._chart_tangents(k, m, up_to_17, value)  # raises if one is 0
+            assert len(tangents) == len(up_to_17)
+            try:
+                localization._chart_tangents(k, m, exponents, value)
+            except NonGenericSpecialization:
+                vanishing += 1
+    assert len(up_to_17) == sum(len(list(partitions(n))) for n in range(1, 18))
+    assert vanishing
 
 
 # degrees of one batched call: spec.d = 4 is neither first nor last
@@ -227,12 +318,8 @@ def test_integrate_needs_spec_d_among_the_degrees():
 
 def test_nodal_counts_equal_single_counts_under_one_specialization():
     counts = nodal_counts(2, (5, 3, 4), verify=True)
-    assert [c.value for c in counts] == [count_nodal(2, d) for d in (5, 3, 4)]
-    assert len({c.specialization for c in counts}) == 1
-    # one resample loop for all degrees: a non-generic start resamples once
-    counts = nodal_counts(3, (3, 4), specialization=NON_GENERIC, seed=2)
-    assert counts[0].specialization == counts[1].specialization != NON_GENERIC
-    assert counts[0].value == 7280
+    assert counts.values == tuple(count_nodal(2, d) for d in (5, 3, 4))
+    assert counts.specialization == SP
 
 
 def test_verify_compares_every_degree_and_i(monkeypatch):

@@ -8,7 +8,6 @@ from helpers import ORDERED_REFERENCE
 
 import severi.node_polys as node_polys
 from severi.integrand import P2_FIXED
-from severi.localization import count_nodal
 from severi.node_polys import (
     CACHE_VERSION,
     NodePolynomialRecord,
@@ -168,21 +167,13 @@ def test_extra_sample_stability_is_enforced(delta):
     assert len(rec.sample_ds) == 10 + 2 * delta
 
 
-def test_progress_reports_every_sample_degree_in_order():
-    calls = []
-    rec = node_polynomial(1, progress=lambda d, value: calls.append((d, value)))
-    ds = rec.sample_ds + rec.check_ds
-    assert calls == [(d, count_nodal(1, d)) for d in ds]
-    assert all(rec.polynomial(d) == value for d, value in calls)
-
-
 def test_extra_sample_mismatch_fails(monkeypatch):
     # the certifying samples come from the same batched call as the others
     nodal_counts = node_polys.nodal_counts
 
     def last_count_off_by_one(*args, **kwargs):
         counts = nodal_counts(*args, **kwargs)
-        return counts[:-1] + [counts[-1]._replace(value=counts[-1].value + 1)]
+        return counts._replace(values=counts.values[:-1] + (counts.values[-1] + 1,))
 
     monkeypatch.setattr(node_polys, "nodal_counts", last_count_off_by_one)
     with pytest.raises(ArithmeticError, match="extra sample"):
