@@ -27,7 +27,7 @@ from .crosscheck import reducible_count
 from .integrand import P2_FIXED, P3, IntegrandSpec
 from .localization import count_nodal, nodal_counts
 from .node_polys import default_cache_dir, load, node_polynomial_cached
-from .partitions import enumerate_fixed_points
+from .partitions import fixed_point_count
 from .weights import NonGenericSpecialization, Specialization
 
 SCHEMA_VERSION = 1
@@ -90,7 +90,7 @@ def cmd_count(args) -> int:
         ) from None
     elapsed = time.time() - t0
     (value,) = result.values
-    fp_counts = {i: len(enumerate_fixed_points(i)) for i in range(args.delta + 1)}
+    fp_counts = {i: fixed_point_count(i) for i in range(args.delta + 1)}
     payload = {
         "schema_version": SCHEMA_VERSION,
         "command": "count",
@@ -145,6 +145,9 @@ def cmd_poly(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.spec is not None and args.only != "weights":
+        # the count sections draw their own specializations from --seed
+        raise ValueError("--spec is read only by the weights section; add --only weights")
     specialization = _specialization(args)
     sections = []
     only = args.only

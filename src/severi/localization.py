@@ -27,19 +27,30 @@ power of H (with H^4 = 0 only under the H^4 rule), divided by the
 Grassmannian Euler factor and summed over the four planes.
 
 The chart series do not depend on i, only their truncation does, so one
-``integrate`` call evaluates a whole count: for the largest i it builds the
-three chart series of a plane for sizes 0..i once, forms each product of
-the first two charts' size-a and size-b entries once, sums those with
-a + b = s into one grid over one denominator, and reads every integral
-i' <= i off those grids with its own integer readout weights.  Only the cell
-weights and the readout weights depend on the degree d, so one call also
-evaluates every sample degree of a node polynomial: the tangent checks,
-chern factors and chart series are computed once, at the first degree d0.
-The O(d) fiber weight adds (d - d0) f_m to every cell weight of the chart
-at P_m, one slope per chart (zero at P_0), and a cell weight enters the
-series only through xi + eps w, so the series at d is the one at d0 under
-xi -> xi + (d - d0) f_m eps.  Only that shear, the pair products and the
-readouts are redone per degree.  Nothing is kept between calls.
+``integrate`` call evaluates a whole count: for the largest i, size, it
+builds the three chart series of a plane for sizes 0..size once, sums the
+products of the first two charts' size-a and size-b entries with a + b = s
+into one grid W[s] over one denominator, and reads every integral
+i' <= size off those grids with its own integer readout weights.  With
+top = delta + 2*size, an entry of size n is kept up to total degree
+top - (size - n), since the other charts bring at least size - n.  The
+size-size entries are kept on the line of total degree top alone: Z1[size]
+and Z2[size] enter only W[size], and W[size] and Z3[size] only the integral
+for i = size, each beside a size-0 entry, which is 1, so nothing off that
+line is read.  Their partitions, the most of any size, still need whole
+cell products, but their chern factors, the pair products summed into
+W[size] and their shears are formed on the line alone.
+
+Only the cell weights and the readout weights depend on the degree d, so
+one call also evaluates every sample degree of a node polynomial: the
+tangent checks, chern factors and chart series are computed once, at the
+first degree d0.  The O(d) fiber weight adds (d - d0) f_m to every cell
+weight of the chart at P_m, one slope per chart (zero at P_0), and a cell
+weight enters the series only through xi + eps w, so the series at d is
+the one at d0 under xi -> xi + (d - d0) f_m eps.  That shear keeps total
+degree, so it takes the top line to itself.  Only the shear, the pair
+products and the readouts are redone per degree.  Nothing is kept between
+calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
@@ -64,11 +75,11 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain, repeat
 from math import comb, lcm, prod
-from operator import mul
+from operator import add, mul
 from typing import NamedTuple
 
 from .integrand import P3, IntegrandSpec, bps_coefficients, genus, incidence_terms, segre_coeffs
-from .partitions import partitions, plane_points
+from .partitions import fixed_point_count, partitions, plane_points
 from .weights import (
     NonGenericSpecialization,
     Specialization,
@@ -91,8 +102,9 @@ class IntegralResult:
 # -- the factorized evaluator ---------------------------------------------------
 #
 # A grid is a truncated bivariate polynomial: grid[x][e] is the coefficient
-# of xi^x eps^e.  Entries above the total-degree bound a grid was built for
-# are zero.
+# of xi^x eps^e.  Entries outside the band of total degrees a grid was built
+# for, 0..bound or, for the top partition size, the one line top..top, are
+# zero.
 
 
 def _coefficient(p, q_rev, x: int, e: int) -> int:
@@ -104,27 +116,28 @@ def _coefficient(p, q_rev, x: int, e: int) -> int:
     return total
 
 
-def _product(p, q, top: int):
-    """p*q on the grid of p, truncated to total degree <= top."""
+def _product(p, q, low: int, top: int):
+    """p*q on the grid of p, kept to total degrees low..top."""
     q_rev = [row[::-1] for row in q]
     return [
-        [_coefficient(p, q_rev, x, e) if x + e <= top else 0 for e in range(len(p[0]))]
+        [_coefficient(p, q_rev, x, e) if low <= x + e <= top else 0 for e in range(len(p[0]))]
         for x in range(len(p))
     ]
 
 
-def _times_eps_poly(g, c, top: int):
-    """g * c for a polynomial c in eps alone, truncated to total degree <= top."""
+def _times_eps_poly(g, c, low: int, top: int):
+    """g * c for a polynomial c in eps alone, kept to total degrees low..top."""
     c_rev = c[::-1]
     pad = [0] * (len(c) - 1)
     out = []
     for x, row in enumerate(g):
+        first = min(len(row), max(0, low - x))
+        last = max(first, min(len(row), top - x + 1))
         padded = pad + row
         out.append(
-            [
-                sum(map(mul, padded[e : e + len(c)], c_rev)) if x + e <= top else 0
-                for e in range(len(row))
-            ]
+            [0] * first
+            + [sum(map(mul, padded[e : e + len(c)], c_rev)) for e in range(first, last)]
+            + [0] * (len(row) - last)
         )
     return out
 
@@ -199,7 +212,11 @@ def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
 
     The size-n entry sums the local factor over the partitions of n.  The
     other two charts bring total degree at least size - n, so it is kept
-    only up to total degree top - (size - n).
+    only up to total degree top - (size - n).  The size-size entry meets
+    only the size-0 entries of the other charts, which are 1, so only its
+    line of total degree top is ever read: each of its partitions still
+    needs its whole cell product, but its chern factor is applied on that
+    line alone, one dot product per row.
     """
     size = len(factors) - 1
     one = [[0] * cols for _ in range(rows)]
@@ -208,6 +225,7 @@ def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
     series = [(one, 1)]
     for n in range(1, size + 1):
         bound = top - (size - n)
+        low = top if n == size else 0
         denominator, cherns = factors[n]
         numerator = [[0] * cols for _ in range(rows)]
         for mu, chern in cherns.items():
@@ -215,30 +233,33 @@ def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
             a, b = mu[-1] - 1, len(mu) - 1
             parent = mu[:-1] + ((a,) if a else ())
             cell_products[mu] = _times_cell(cell_products[parent], weights[a, b], bound)
-            term = _times_eps_poly(cell_products[mu], chern, bound)
-            for row, trow in zip(numerator, term):
-                row[:] = map(sum, zip(row, trow))
+            term = _times_eps_poly(cell_products[mu], chern, low, bound)
+            for x, (row, trow) in enumerate(zip(numerator, term)):
+                band = slice(max(0, low - x), max(0, bound - x + 1))
+                row[band] = map(add, row[band], trow[band])
         series.append((numerator, denominator))
     return series
 
 
-def _sheared(g, c: int, rows: int, bound: int):
-    """g(xi + c eps, eps), kept to its first ``rows`` xi-rows.
+def _sheared(g, c: int, rows: int, low: int, bound: int):
+    """g(xi + c eps, eps), kept to its first ``rows`` xi-rows, for g kept to
+    total degrees low..bound.
 
     Its xi^k eps^e coefficient is sum_j binom(k + j, j) c^j g[k + j][e - j].
-    Total degree is kept, so entries of g above ``bound`` stay cut, but
-    xi-degree moves into eps-degree: every output row reads the rows of g
-    below it, up to ``bound``.
+    Total degree is kept, so the output lies in the band of g, but xi-degree
+    moves into eps-degree: every output row reads the rows of g below it, up
+    to ``bound``.  On a band of one line, low = bound, each row is one sum.
     """
     height = min(len(g) - 1, bound)
     out = []
     for k in range(rows):
         row = g[k][:]
-        # row k + j of g is zero beyond eps-degree bound - k - j
+        # row k + j of g is zero outside eps-degrees low - k - j..bound - k - j
         end = min(len(row), bound - k + 1)
         for j in range(1, height - k + 1):
             coef = comb(k + j, j) * c**j
-            row[j:end] = [a + coef * v for a, v in zip(row[j:end], g[k + j])]
+            start = max(j, low - k)
+            row[start:end] = [a + coef * v for a, v in zip(row[start:end], g[k + j][start - j :])]
         out.append(row)
     return out
 
@@ -250,11 +271,19 @@ def _shear(series, c: int, rows: int, top: int):
     A cell weight enters the cell factor (xi + eps w) / (1 + xi + eps w)
     only through xi + eps w, and the chern factors are in eps alone, so
     adding c to every cell weight is the substitution xi -> xi + c eps.
-    The size-0 entry, 1, is never sheared.
+    The size-0 entry, 1, is never sheared.  The shear keeps total degree,
+    so the size-size entry, kept on the line of total degree top alone,
+    shears to that line: its xi^k coefficient there is
+    sum_{x >= k} binom(x, k) c^(x - k) times the xi^x coefficient.
     """
     size = len(series) - 1
     return [
-        (_sheared(grid, c, rows, top - (size - n)) if n and c else grid[:rows], denominator)
+        (
+            _sheared(grid, c, rows, top if n == size else 0, top - (size - n))
+            if n and c
+            else grid[:rows],
+            denominator,
+        )
         for n, (grid, denominator) in enumerate(series)
     ]
 
@@ -286,32 +315,45 @@ def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[tuple[dict, int]]
     return out
 
 
-def _read_integrals(charts, readout: list, h: int, delta: int, top: int) -> list[tuple[int, int]]:
-    """The plane's sums over its fixed points for i = 0..size at one degree,
-    before the Grassmannian Euler factor, read off its three chart series,
-    each as (numerator, denominator).
+def _pair_sums(first, second, top: int) -> list:
+    """W[s] for s = 0..size, the sum of the products Z1[a]*Z2[s - a] of the
+    first two chart series, each as (numerator grid, denominator).
 
-    The products Z1[a]*Z2[b] with a + b = s share the truncation
-    top - (size - s), so they are summed over one denominator into one grid
-    W[s], which feeds every i >= s through the line of W[s]*Z3[i - s].  The
-    size-0 entry of every series is exactly 1 over 1, so a product with it
-    is a copy, and a readout of W[s]*Z3[0] a lookup.
+    The products with a + b = s share the truncation top - (size - s), so
+    they are summed over one denominator into one grid.  The size-0 entry
+    of every series is exactly 1 over 1, so a product with it is a copy.
+    W[size] meets only Z3[0], so, like the size-size chart entries, it is
+    formed on the line of total degree top alone.
     """
-    size = len(readout) - 1
-    first, second, third = charts
+    size = len(first) - 1
     sums = []
     for s in range(size + 1):
         parts = [(first[a], second[s - a]) for a in range(s + 1)]
         denominator = lcm(*(d1 * d2 for (_, d1), (_, d2) in parts))
         grids, scales = [], []
+        low = top if s == size else 0
         for a, ((g1, d1), (g2, d2)) in enumerate(parts):
             if a and s - a:
-                grids.append(_product(g1, g2, top - (size - s)))
+                grids.append(_product(g1, g2, low, top - (size - s)))
             else:  # a product with the size-0 entry
                 grids.append(g1 if a else g2)
             scales.append(denominator // (d1 * d2))
         grid = [[sum(map(mul, column, scales)) for column in zip(*xrows)] for xrows in zip(*grids)]
         sums.append((grid, denominator))
+    return sums
+
+
+def _read_integrals(charts, readout: list, h: int, delta: int, top: int) -> list[tuple[int, int]]:
+    """The plane's sums over its fixed points for i = 0..size at one degree,
+    before the Grassmannian Euler factor, read off its three chart series,
+    each as (numerator, denominator).
+
+    W[s] (see ``_pair_sums``) feeds every i >= s through the line of
+    W[s]*Z3[i - s]; a readout of W[s]*Z3[0] is a lookup.  So W[size] and
+    Z3[size] are read only at i = size, on the line of total degree top.
+    """
+    first, second, third = charts
+    sums = _pair_sums(first, second, top)
     thirds = [[row[::-1] for row in grid] for grid, _ in third]
     values = []
     for i, (terms, denominator) in enumerate(readout):
@@ -419,11 +461,7 @@ def integrate(
     if spec.d not in degrees:
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
     readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
-    i = spec.i
-    sizes = [len(list(partitions(n))) for n in range(i + 1)]
-    points = 4 * sum(
-        sizes[a] * sizes[b] * sizes[i - a - b] for a in range(i + 1) for b in range(i + 1 - a)
-    )
+    points = fixed_point_count(spec.i)
     args = (range(4), repeat(spec), repeat(specialization), repeat(readouts))
     if jobs <= 1 or points < 64:
         parts = list(map(_plane_integrals, *args))

@@ -105,6 +105,15 @@ class FixedPoint(NamedTuple):
         return f"V{self.plane}:{slots}"
 
 
+def fixed_point_count(i: int) -> int:
+    """The number of torus-fixed points of the length-i relative Hilbert
+    scheme, 4 * sum_{a+b+c=i} p(a) p(b) p(c), without listing them."""
+    sizes = [sum(1 for _ in partitions(n)) for n in range(i + 1)]
+    return 4 * sum(
+        sizes[a] * sizes[b] * sizes[i - a - b] for a in range(i + 1) for b in range(i + 1 - a)
+    )
+
+
 def enumerate_fixed_points(i: int) -> list[FixedPoint]:
     """All torus-fixed points of the length-i relative Hilbert scheme.
 

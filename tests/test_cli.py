@@ -184,6 +184,28 @@ def test_poly_json_reports_the_record_verified_flag(capsys, tmp_path):
     assert poly("--no-verify") is True
 
 
+def test_poly_json_is_byte_identical_from_the_cache_and_across_fresh_caches(
+    capsys, monkeypatch, tmp_path
+):
+    import severi.node_polys as node_polys
+
+    def poly(cache):
+        args = ("--delta", "2", "--json", "--seed", "5", "--cache-dir", str(tmp_path / cache))
+        code, out, _ = run(capsys, "poly", *args)
+        assert code == 0
+        return out
+
+    computed = poly("a")
+    fresh = poly("b")
+
+    def computing(*a, **k):
+        raise AssertionError("a cache hit computes nothing")
+
+    monkeypatch.setattr(node_polys, "node_polynomial", computing)
+    hit = poly("a")
+    assert hit == computed == fresh
+
+
 def test_check_calibration_section(capsys):
     code, out, _ = run(capsys, "check", "--only", "nu")
     assert code == 0
@@ -197,8 +219,25 @@ def test_check_tables_small(capsys):
     assert "[tables]" in out and "ALL PASS" in out
 
 
+@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "dualspec"), ()])
+def test_check_refuses_spec_outside_the_weights_section(capsys, monkeypatch, only):
+    # only the weights section reads --spec; any other section would run
+    # under its own seeded values and pass without ever using it
+    import severi.cli as cli
+
+    work = []
+    monkeypatch.setattr(cli, "run_calibration", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "count_nodal", lambda *a, **k: work.append(a))
+    code, out, err = run(capsys, "check", *only, "--max-delta", "3", "--spec", "2,3,5,7")
+    assert code == 2 and out == ""
+    assert "--spec" in err and "weights section" in err
+    assert work == []
+
+
 def test_check_weights_and_bps(capsys):
     code, out, _ = run(capsys, "check", "--only", "weights")
+    assert code == 0
+    code, out, _ = run(capsys, "check", "--only", "weights", "--spec", "1,2,18,19")
     assert code == 0
     code, out, _ = run(capsys, "check", "--only", "bps")
     assert code == 0

@@ -368,3 +368,52 @@ def test_non_generic_raises_where_the_reference_does():
         integrate(s, NON_GENERIC, jobs=2)
     with pytest.raises(NonGenericSpecialization):
         integrate(s, NON_GENERIC, degrees=(4, 5), jobs=2)
+
+
+def test_top_size_entries_are_kept_on_the_read_line_alone(monkeypatch):
+    # the size-size entry of each chart series, its shears and W[size] meet
+    # only size-0 entries, which are 1, so they are kept on the line of total
+    # degree top alone; the entries below the top size are not banded
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    ds = (4, 5, 6)
+    size, top = s.i, s.delta + 2 * s.i
+    seen = {"_chart_series": [], "_shear": [], "_pair_sums": []}
+    for name, out in seen.items():
+        real = getattr(localization, name)
+        monkeypatch.setattr(
+            localization, name, lambda *a, real=real, out=out: out.append(real(*a)) or out[-1]
+        )
+    res = integrate(s, SP, degrees=ds)
+    assert [len(out) for out in seen.values()] == [12, 12 * len(ds), 4 * len(ds)]
+    def degrees(grid):
+        return {x + e for x, row in enumerate(grid) for e, v in enumerate(row) if v}
+
+    for name, out in seen.items():
+        for series in out:
+            assert degrees(series[size][0]) == {top}, name
+            assert min(degrees(series[size - 1][0])) < top - 1, name
+    assert res.by_degree[5] == integrate(replace(s, d=5), SP).values
+
+
+def test_top_size_pair_products_are_asked_for_the_top_line_alone(monkeypatch):
+    # every product Z1[a]*Z2[s - a], 0 < a < s, is asked for its band of total
+    # degrees: the line top..top at s = size, 0..top - (size - s) below it
+    asked = []
+    product = localization._product
+    monkeypatch.setattr(
+        localization,
+        "_product",
+        lambda p, q, low, top: asked.append((low, top)) or product(p, q, low, top),
+    )
+    s = IntegrandSpec(i=4, delta=4, d=5)
+    ds = (5, 6)
+    size, top = s.i, s.delta + 2 * s.i
+    integrate(s, SP, degrees=ds)
+    expected = [
+        (top if n == size else 0, top - (size - n))
+        for _ in range(4 * len(ds))
+        for n in range(2, size + 1)
+        for _ in range(1, n)
+    ]
+    assert sorted(asked) == sorted(expected)
+    assert asked.count((top, top)) == 4 * len(ds) * (size - 1)

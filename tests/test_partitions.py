@@ -9,6 +9,7 @@ from severi.partitions import (
     check_partition,
     conjugate,
     enumerate_fixed_points,
+    fixed_point_count,
     partitions,
     plane_points,
 )
@@ -76,7 +77,7 @@ def test_fixed_point_count_convolution(i):
         for b in range(i + 1 - a)
     )
     points = enumerate_fixed_points(i)
-    assert len(points) == expected
+    assert len(points) == expected == fixed_point_count(i)
     # duplicate-free under the canonical encoding
     assert len({fp.encode() for fp in points}) == expected
 
