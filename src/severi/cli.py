@@ -71,7 +71,7 @@ def _emit(payload: dict, as_json: bool, lines) -> None:
 def cmd_count(args) -> int:
     specialization = _specialization(args)
     ensure_calibrated(args.seed)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         result = nodal_counts(
             args.delta,
@@ -88,7 +88,7 @@ def cmd_count(args) -> int:
         raise NonGenericSpecialization(
             f"{exc}; choose other --spec values or omit --spec"
         ) from None
-    elapsed = time.time() - t0
+    elapsed = time.perf_counter() - t0
     (value,) = result.values
     fp_counts = {i: fixed_point_count(i) for i in range(args.delta + 1)}
     payload = {

@@ -48,8 +48,16 @@ first degree d0.  The O(d) fiber weight adds (d - d0) f_m to every cell
 weight of the chart at P_m, one slope per chart (zero at P_0), and a cell
 weight enters the series only through xi + eps w, so the series at d is
 the one at d0 under xi -> xi + (d - d0) f_m eps.  That shear keeps total
-degree, so it takes the top line to itself.  Only the shear, the pair
-products and the readouts are redone per degree.  Nothing is kept between
+degree, so it takes the top line to itself.  It brings t = d - d0 in only
+together with eps, so each coefficient xi^x eps^e a readout takes from the
+three-chart product is an integer polynomial in t of degree at most e,
+over a denominator free of d.  With E one more than the largest e read
+(min(3*delta + 1, 2*delta + 4) in p3, 2*delta + 1 in p2), the shear, the pair
+products and these line coefficients are formed directly at the first E
+degrees of a call and at its last; the other degrees get them by exact
+Lagrange interpolation in t from the first E, and the last degree must
+equal that interpolant too, or the call raises ArithmeticError.  Only the
+readout weights are applied at every degree.  Nothing is kept between
 calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
@@ -343,10 +351,11 @@ def _pair_sums(first, second, top: int) -> list:
     return sums
 
 
-def _read_integrals(charts, readout: list, h: int, delta: int, top: int) -> list[tuple[int, int]]:
-    """The plane's sums over its fixed points for i = 0..size at one degree,
-    before the Grassmannian Euler factor, read off its three chart series,
-    each as (numerator, denominator).
+def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, int]]:
+    """Per i = 0..size, the xi^x eps^(delta + 2i - x) coefficient of the
+    product of the plane's three chart series, each as (numerator, denominator),
+    for every x of ``lines[i]``: {x: numerator} and one denominator per i,
+    which does not depend on d.
 
     W[s] (see ``_pair_sums``) feeds every i >= s through the line of
     W[s]*Z3[i - s]; a readout of W[s]*Z3[0] is a lookup.  So W[size] and
@@ -355,32 +364,70 @@ def _read_integrals(charts, readout: list, h: int, delta: int, top: int) -> list
     first, second, third = charts
     sums = _pair_sums(first, second, top)
     thirds = [[row[::-1] for row in grid] for grid, _ in third]
-    values = []
-    for i, (terms, denominator) in enumerate(readout):
-        read: dict[int, int] = {}
-        for (x, power), c in terms.items():
-            read[x] = read.get(x, 0) + c * h**power
-        lines = []
+    out = []
+    for i, xs in enumerate(lines):
+        parts = []
         for s in range(i + 1):
             (grid, d12), c = sums[s], i - s
             if c:
-                num = sum(
-                    w * _coefficient(grid, thirds[c], x, delta + 2 * i - x) for x, w in read.items()
-                )
+                nums = [_coefficient(grid, thirds[c], x, delta + 2 * i - x) for x in xs]
             else:
-                num = sum(w * grid[x][delta + 2 * i - x] for x, w in read.items())
-            lines.append((num, d12 * third[c][1]))
-        common = lcm(*(d for _, d in lines))
-        values.append((sum(num * (common // d) for num, d in lines), common * denominator))
+                nums = [grid[x][delta + 2 * i - x] for x in xs]
+            parts.append((nums, d12 * third[c][1]))
+        common = lcm(*(d for _, d in parts))
+        scaled = [[n * (common // d) for n in nums] for nums, d in parts]
+        out.append((dict(zip(xs, map(sum, zip(*scaled)))), common))
+    return out
+
+
+def _weigh_lines(lines: list, readout: list, h: int) -> list[tuple[int, int]]:
+    """The plane's sums over its fixed points for i = 0..size at one degree,
+    before the Grassmannian Euler factor, each as (numerator, denominator):
+    the line coefficients of ``_read_lines`` weighted by the readout terms
+    at that degree, sum c h^power per xi-degree."""
+    values = []
+    for (coefficients, common), (terms, denominator) in zip(lines, readout):
+        read: dict[int, int] = {}
+        for (x, power), c in terms.items():
+            read[x] = read.get(x, 0) + c * h**power
+        values.append((sum(w * coefficients[x] for x, w in read.items()), common * denominator))
     return values
 
 
+def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, int]]:
+    """The line coefficients at t, from their values ``direct`` at ``nodes``
+    (each as ``_read_lines`` returns them), by exact Lagrange interpolation
+    in t: p(t) = sum_k b_k p(nodes[k]) / D, with one basis of integers b_k
+    over one D shared by every coefficient.
+
+    Each numerator is an integer polynomial in t, so every division is
+    exact; one that is not raises ArithmeticError.
+    """
+    numerators, denominators = [], []
+    for k, node in enumerate(nodes):
+        others = nodes[:k] + nodes[k + 1 :]
+        numerators.append(prod(t - other for other in others))
+        denominators.append(prod(node - other for other in others))
+    common = lcm(*denominators)
+    basis = [n * (common // d) for n, d in zip(numerators, denominators)]
+    out = []
+    for i, (coefficients, denominator) in enumerate(direct[0]):
+        interpolated = {}
+        for x in coefficients:
+            value, rest = divmod(sum(b * lines[i][0][x] for b, lines in zip(basis, direct)), common)
+            if rest:
+                raise ArithmeticError(f"inexact interpolation of the line coefficient i={i}, x={x}")
+            interpolated[x] = value
+        out.append((interpolated, denominator))
+    return out
+
+
 def _plane_integrals(
-    plane: int, spec: IntegrandSpec, specialization: Specialization, readouts: list
+    plane: int, spec: IntegrandSpec, specialization: Specialization, readouts: list, exponents: dict
 ) -> list[list[Fraction]]:
     """Contributions of the fixed points on the plane V_plane to the
     integrals for i = 0..spec.i, at each degree d of ``readouts``, a list of
-    (d, ``_readout_terms`` at d).
+    (d, ``_readout_terms`` at d), given ``_tangent_exponents(spec.i)``.
 
     The tangent checks, the chern factors and every chart series are
     computed once per call, the series at the first degree d0.  A cell
@@ -389,6 +436,13 @@ def _plane_integrals(
     ``_shear``.  A chart that is sheared keeps every xi-row up to the top
     total degree, since the shear moves xi-degree into eps-degree; the
     others keep only the rows that are read.
+
+    A line coefficient xi^x eps^e of the three-chart product is an integer
+    polynomial in t = d - d0 of degree at most e, since the shear brings t in
+    only with eps.  With E one more than the largest e read, the first E
+    degrees and the last are evaluated directly; the others get their line
+    coefficients by interpolation in t from the first E, and the last must
+    equal that interpolant, or this raises ArithmeticError.
     """
     # integer torus values: the contribution is homogeneous of degree zero
     scale = lcm(*(v.denominator for v in specialization.values))
@@ -403,7 +457,6 @@ def _plane_integrals(
     # every chart of every plane, so that a non-generic draw fails every
     # plane unit before any of them does real work
     size = spec.i
-    exponents = _tangent_exponents(size)
     tangents = {
         (k, m): _chart_tangents(k, m, exponents, value) for k in range(4) for m in plane_points(k)
     }
@@ -411,9 +464,10 @@ def _plane_integrals(
     h = value(h_weight(plane))
     euler = prod(gr)
     top = spec.delta + 2 * size
-    reads = [
-        (i, x) for _, readout in readouts for i, (terms, _) in enumerate(readout) for x, _ in terms
+    lines = [
+        sorted({x for _, readout in readouts for x, _ in readout[i][0]}) for i in range(size + 1)
     ]
+    reads = [(i, x) for i, xs in enumerate(lines) for x in xs]
     rows = max(x for _, x in reads) + 1
     cols = max(spec.delta + 2 * i - x for i, x in reads) + 1
     d0 = readouts[0][0]
@@ -425,10 +479,22 @@ def _plane_integrals(
         factors = _chern_factors(tangents[plane, m], size)
         series = _chart_series(weights, factors, top + 1 if any(shifts) else rows, cols, top)
         bases.append((series, shifts))
-    out = []
-    for j, (_, readout) in enumerate(readouts):
+
+    def direct(j: int) -> list:
         charts = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
-        integrals = _read_integrals(charts, readout, h, spec.delta, top)
+        return _read_lines(charts, lines, spec.delta, top)
+
+    # cols is E: every line coefficient read has degree below it in t
+    nodes = [d - d0 for d, _ in readouts[:cols]]
+    first = [direct(j) for j in range(len(nodes))]
+    lines_at = first + [_interpolated(first, nodes, d - d0) for d, _ in readouts[len(nodes) :]]
+    if len(lines_at) > len(nodes) and direct(len(lines_at) - 1) != lines_at[-1]:
+        raise ArithmeticError(
+            f"a line coefficient of plane {plane} is not of degree below {len(nodes)} in d"
+        )
+    out = []
+    for read, (_, readout) in zip(lines_at, readouts):
+        integrals = _weigh_lines(read, readout, h)
         out.append([Fraction(num, denominator * euler) for num, denominator in integrals])
     return out
 
@@ -451,7 +517,10 @@ def integrate(
     ``fixed_point_count`` counts the fixed points at spec.i.  One call
     evaluates everything a count, or the samples of a node polynomial, need.
     Each plane builds its three chart series once, at the first degree, and
-    shears them to the others, whatever the number of degrees.
+    shears them to the first E degrees and the last (see
+    ``_plane_integrals``); the line coefficients at the other degrees are
+    interpolated, so every degree of a call with at most E + 1 of them, a
+    count among them, is evaluated directly.
 
     Raises NonGenericSpecialization if a tangent weight at some size
     <= spec.i vanishes.  With ``jobs`` > 1 and at least 64 fixed points at
@@ -462,7 +531,8 @@ def integrate(
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
     readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
     points = fixed_point_count(spec.i)
-    args = (range(4), repeat(spec), repeat(specialization), repeat(readouts))
+    exponents = _tangent_exponents(spec.i)
+    args = (range(4), repeat(spec), repeat(specialization), repeat(readouts), repeat(exponents))
     if jobs <= 1 or points < 64:
         parts = list(map(_plane_integrals, *args))
     else:

@@ -12,6 +12,12 @@ For the fixed-plane variant no degree bound is asserted a priori; the same
 window is used and stability is checked the same way (the observed degree
 is 2*delta).
 
+All the samples come from one ``integrate`` call.  It evaluates the first
+E degrees and the last one directly, with E = min(3*delta + 1, 2*delta + 4)
+in p3 and 2*delta + 1 in p2, and gets the localization's line coefficients
+at the degrees in between by exact interpolation.  The last degree, the
+second extra sample, must equal that interpolant, and never depends on it.
+
 Records are persisted as one JSON file per (delta, mode), keyed also by the
 package version; coefficients are exact ``p/q`` strings so the round trip
 is lossless.  Writes go through a temp file and an atomic rename.  A record

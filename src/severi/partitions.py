@@ -24,7 +24,9 @@ Tripartition = tuple[Partition, Partition, Partition]
 
 def check_partition(mu) -> Partition:
     """Validate and normalize to a tuple of weakly decreasing positive parts."""
-    mu = tuple(int(p) for p in mu)
+    # from a list, not a generator: a tuple grown from a generator is
+    # resized, so the freed ones pile up on the tuple free lists unused
+    mu = tuple([int(p) for p in mu])
     for a, b in zip(mu, mu[1:]):
         if a < b:
             raise ValueError(f"parts not weakly decreasing: {mu}")

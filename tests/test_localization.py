@@ -243,7 +243,8 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
     readouts = [(d, localization._readout_terms(replace(s, d=d), h4_rule)) for d in DEGREES]
-    per_plane = [_plane_integrals(k, s, sp, readouts) for k in (3, 2, 1, 0)]
+    exponents = localization._tangent_exponents(s.i)
+    per_plane = [_plane_integrals(k, s, sp, readouts, exponents) for k in (3, 2, 1, 0)]
     for d, per_degree in zip(DEGREES, zip(*per_plane)):
         assert tuple(sum(column, Fraction(0)) for column in zip(*per_degree)) == res.by_degree[d]
 
@@ -347,13 +348,15 @@ def test_non_generic_plane_units_raise_before_any_cell_product(monkeypatch):
     )
     s = IntegrandSpec(i=3, delta=3, d=4)
     readouts = [(d, localization._readout_terms(replace(s, d=d), True)) for d in (4, 5)]
+    exponents = localization._tangent_exponents(s.i)
     for plane in range(4):
         with pytest.raises(NonGenericSpecialization):
-            _plane_integrals(plane, s, NON_GENERIC, readouts)
+            _plane_integrals(plane, s, NON_GENERIC, readouts, exponents)
     assert calls == []
     shallow = replace(s, i=2)
     readouts = [(4, localization._readout_terms(shallow, True))]
-    assert _plane_integrals(0, shallow, NON_GENERIC, readouts)  # the counter works
+    exponents = localization._tangent_exponents(shallow.i)
+    assert _plane_integrals(0, shallow, NON_GENERIC, readouts, exponents)  # the counter works
     assert calls
 
 
@@ -417,3 +420,98 @@ def test_top_size_pair_products_are_asked_for_the_top_line_alone(monkeypatch):
     ]
     assert sorted(asked) == sorted(expected)
     assert asked.count((top, top)) == 4 * len(ds) * (size - 1)
+
+
+def t_degree_bound(spec: IntegrandSpec, h4_rule: bool) -> int:
+    """E: one more than the largest eps-degree a readout of ``spec`` takes
+    from the three-chart product, which bounds the degree in d - d0."""
+    readout = localization._readout_terms(spec, h4_rule)
+    return 1 + max(spec.delta + 2 * i - x for i, (terms, _) in enumerate(readout) for x, _ in terms)
+
+
+# ten degrees in shuffled order, some below the first; with E = 7 for both,
+# the eighth and ninth are interpolated, and spec.d is the eighth
+BATCHES = [
+    (IntegrandSpec(i=2, delta=2, d=8, mode=P3), (7, 3, 11, 2, 9, 5, 10, 8, 4, 6)),
+    (IntegrandSpec(i=3, delta=3, d=9, mode=P2_FIXED), (8, 12, 3, 6, 11, 4, 10, 9, 5, 7)),
+]
+
+
+@pytest.mark.parametrize(
+    "h4_rule, values", [(True, None), (False, (Fraction(1, 2), 3, Fraction(7, 3), 5))]
+)
+@pytest.mark.parametrize("spec, degrees", BATCHES)
+def test_batched_degrees_past_the_direct_ones_equal_one_degree_calls(
+    spec, degrees, h4_rule, values
+):
+    sp = SP if values is None else Specialization(values)
+    assert t_degree_bound(spec, h4_rule) + 1 < len(degrees)  # some degrees are interpolated
+    res = integrate(spec, sp, h4_rule=h4_rule, degrees=degrees)
+    assert list(res.by_degree) == list(degrees)
+    for d in degrees:
+        assert res.by_degree[d] == integrate(replace(spec, d=d), sp, h4_rule=h4_rule).values, d
+
+
+def test_only_the_first_E_degrees_and_the_last_are_sheared(monkeypatch):
+    # consecutive degrees from d0, so the j-th degree has t = d - d0 = j; at
+    # every plane and chart, the shift of the shear is t times one slope
+    spec = IntegrandSpec(i=2, delta=2, d=3)
+    bound = t_degree_bound(spec, True)
+    assert bound == 7
+    shifts = []
+    shear = localization._shear
+    monkeypatch.setattr(
+        localization, "_shear", lambda series, c, *rest: shifts.append(c) or shear(series, c, *rest)
+    )
+    for n in (3, bound, bound + 1, bound + 3):
+        shifts.clear()
+        integrate(spec, SP, degrees=range(3, 3 + n))
+        direct = list(range(min(n, bound))) + ([n - 1] if n > bound else [])
+        assert len(shifts) == 4 * len(direct) * 3
+        for k in range(4):
+            for m in range(3):
+                seen = shifts[k * len(direct) * 3 + m :: 3][: len(direct)]
+                assert seen == [t * seen[1] for t in direct], (n, k, m)
+
+
+def test_a_line_coefficient_of_degree_E_in_d_raises(monkeypatch):
+    # a term t^(E - 1) added to one line coefficient at every direct degree
+    # is interpolated exactly; a term t^E fails the check at the last degree
+    spec = IntegrandSpec(i=2, delta=2, d=3)
+    bound = t_degree_bound(spec, True)
+    degrees = range(3, 3 + bound + 3)
+    ts = list(range(bound)) + [len(degrees) - 1]  # of the direct degrees, per plane
+    read_lines = localization._read_lines
+    exact = integrate(spec, SP, degrees=degrees)
+
+    def bumped(power):
+        calls = []
+
+        def read(*args):
+            lines = read_lines(*args)
+            t = ts[len(calls) % len(ts)]
+            calls.append(t)
+            coefficients, _ = lines[-1]
+            coefficients[min(coefficients)] += t**power
+            return lines
+
+        return read
+
+    monkeypatch.setattr(localization, "_read_lines", bumped(bound - 1))
+    res = integrate(spec, SP, degrees=degrees)
+    for d in degrees[bound : -1]:  # interpolated, and carrying the term
+        assert res.by_degree[d] != exact.by_degree[d]
+    monkeypatch.setattr(localization, "_read_lines", bumped(bound))
+    with pytest.raises(ArithmeticError, match="not of degree below 7"):
+        integrate(spec, SP, degrees=degrees)
+
+
+def test_interpolation_raises_on_an_inexact_division():
+    def at(values):
+        return [[({0: v}, 1)] for v in values]
+
+    nodes = [0, 2, 5]
+    assert localization._interpolated(at([-3, 1, 22]), nodes, -4) == [({0: 13}, 1)]  # t^2 - 3
+    # no integer polynomial of degree < 3 takes 0, 1, 0 there: it is 2/3 at t = 1
+    with pytest.raises(ArithmeticError, match="inexact"):
+        localization._interpolated(at([0, 1, 0]), nodes, 1)
