@@ -145,9 +145,13 @@ def cmd_poly(args) -> int:
 
 
 def cmd_check(args) -> int:
-    if args.spec is not None and args.only != "weights":
-        # the count sections draw their own specializations from --seed
-        raise ValueError("--spec is read only by the weights section; add --only weights")
+    # the count sections draw their own specializations from --seed, and only
+    # dualspec counts in both modes
+    for flag, section in (("spec", "weights"), ("mode", "dualspec")):
+        if getattr(args, flag) is not None and args.only != section:
+            raise ValueError(
+                f"--{flag} is read only by the {section} section; add --only {section}"
+            )
     specialization = _specialization(args)
     sections = []
     only = args.only
@@ -207,16 +211,17 @@ def cmd_check(args) -> int:
         sections.append({"name": "weights", "cases": cases})
 
     if want("dualspec"):
+        mode = args.mode or P3
         cases = []
         for delta in range(0, 3):
             for d in (2, 3):
                 try:
-                    IntegrandSpec(i=0, delta=delta, d=d, mode=args.mode)
+                    IntegrandSpec(i=0, delta=delta, d=d, mode=mode)
                 except ValueError:
                     continue
                 try:
                     # verify recomputes every integral under a second draw
-                    count_nodal(delta, d, args.mode, seed=args.seed, verify=True, jobs=args.jobs)
+                    count_nodal(delta, d, mode, seed=args.seed, verify=True, jobs=args.jobs)
                     ok = True
                 except ArithmeticError:
                     ok = False
@@ -323,6 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest delta of the table cases to run (8 runs everything)",
     )
     _flags(p_check, "mode", "spec", "seed", "jobs", "json")
+    p_check.set_defaults(mode=None)  # p3 in the dualspec section
     p_check.set_defaults(func=cmd_check)
 
     p_table = sub.add_parser("table", help="dump cached polynomials")

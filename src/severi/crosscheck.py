@@ -225,24 +225,6 @@ def nu_class(d: int, delta: int, n_lines: int) -> NuClass:
 # -- decomposition combinatorics --------------------------------------------
 
 
-def multiplicity(nbar) -> int:
-    """Number of unordered partitions of an n-line set into blocks of the
-    given sizes: the multinomial divided by the stabilizer order of the
-    size tuple."""
-    nbar = tuple(int(x) for x in nbar)
-    if any(x < 0 for x in nbar):
-        raise ValueError("block sizes must be >= 0")
-    n = sum(nbar)
-    mult = factorial(n)
-    for x in nbar:
-        mult //= factorial(x)
-    stab = 1
-    for x in set(nbar):
-        stab *= factorial(nbar.count(x))
-    assert mult % stab == 0
-    return mult // stab
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """One component multiset with all its admissible line assignments.

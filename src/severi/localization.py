@@ -43,7 +43,7 @@ W[size] and their shears are formed on the line alone.
 
 Only the cell weights and the readout weights depend on the degree d, so
 one call also evaluates every sample degree of a node polynomial: the
-tangent checks, chern factors and chart series are computed once, at the
+tangent values, chern factors and chart series are computed once, at the
 first degree d0.  The O(d) fiber weight adds (d - d0) f_m to every cell
 weight of the chart at P_m, one slope per chart (zero at P_0), and a cell
 weight enters the series only through xi + eps w, so the series at d is
@@ -62,13 +62,13 @@ calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
-changes nothing.  A vanishing tangent weight raises
+changes nothing.  Each call evaluates the tangent weights of all twelve
+charts once, before any plane unit runs; a vanishing one raises
 ``NonGenericSpecialization``, and a count moves on to another specialization
-only if the caller gave none (see ``nodal_counts``); every plane unit checks
-the tangent weights of all twelve charts before it forms any series, so a
-non-generic draw fails at once everywhere.  Planes are independent work
-units and the optional process pool evaluates them in parallel; exact sums
-make any order give the identical result.
+only if the caller gave none (see ``nodal_counts``).  Planes are independent
+work units, each given only its own three charts, and the optional process
+pool evaluates them in parallel; exact sums make any order give the
+identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
 for i = 0..delta with the unitriangular-inverse weights; the combination is
@@ -81,7 +81,7 @@ import os
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from math import comb, lcm, prod
 from operator import add, mul
 from typing import NamedTuple
@@ -422,27 +422,13 @@ def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, in
     return out
 
 
-def _plane_integrals(
-    plane: int, spec: IntegrandSpec, specialization: Specialization, readouts: list, exponents: dict
-) -> list[list[Fraction]]:
-    """Contributions of the fixed points on the plane V_plane to the
-    integrals for i = 0..spec.i, at each degree d of ``readouts``, a list of
-    (d, ``_readout_terms`` at d), given ``_tangent_exponents(spec.i)``.
-
-    The tangent checks, the chern factors and every chart series are
-    computed once per call, the series at the first degree d0.  A cell
-    weight at d is its value at d0 plus (d - d0) times one slope per chart
-    (zero at P_0), so the series at d is the one at d0 sheared by
-    ``_shear``.  A chart that is sheared keeps every xi-row up to the top
-    total degree, since the shear moves xi-degree into eps-degree; the
-    others keep only the rows that are read.
-
-    A line coefficient xi^x eps^e of the three-chart product is an integer
-    polynomial in t = d - d0 of degree at most e, since the shear brings t in
-    only with eps.  With E one more than the largest e read, the first E
-    degrees and the last are evaluated directly; the others get their line
-    coefficients by interpolation in t from the first E, and the last must
-    equal that interpolant, or this raises ArithmeticError.
+def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: list) -> list:
+    """The ``_plane_integrals`` arguments of V_0..V_3 at the degrees of
+    ``readouts``, a list of (d, ``_readout_terms`` at d), prepared once per
+    call.  Evaluating the tangent weights of all twelve charts here is the
+    one genericity check: a non-generic draw raises before any cell product
+    and before a pool starts.  A cell weight at d is its value at the first
+    degree d0 plus (d - d0) times one slope per chart (zero at P_0).
     """
     # integer torus values: the contribution is homogeneous of degree zero
     scale = lcm(*(v.denominator for v in specialization.values))
@@ -451,47 +437,69 @@ def _plane_integrals(
     def value(char) -> int:
         return sum(map(mul, char, scaled))
 
-    gr = [value(w) for w in gr_tangent_weights(plane)]
-    if 0 in gr:
+    eulers = [prod(value(w) for w in gr_tangent_weights(k)) for k in range(4)]
+    if 0 in eulers:
         raise NonGenericSpecialization("non-generic specialization")
-    # every chart of every plane, so that a non-generic draw fails every
-    # plane unit before any of them does real work
-    size = spec.i
-    tangents = {
-        (k, m): _chart_tangents(k, m, exponents, value) for k in range(4) for m in plane_points(k)
-    }
-    cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
-    h = value(h_weight(plane))
-    euler = prod(gr)
-    top = spec.delta + 2 * size
+    exponents = _tangent_exponents(spec.i)
+    cells = [(a, b) for a in range(spec.i) for b in range(spec.i // (a + 1))]
     lines = [
-        sorted({x for _, readout in readouts for x, _ in readout[i][0]}) for i in range(size + 1)
+        sorted({x for _, readout in readouts for x, _ in readout[i][0]}) for i in range(spec.i + 1)
     ]
+    d0 = readouts[0][0]
+    units = []
+    for k, euler in enumerate(eulers):
+        charts = []
+        for m in plane_points(k):
+            tangents = _chart_tangents(k, m, exponents, value)
+            weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
+            w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
+            charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d, _ in readouts]))
+        units.append((charts, value(h_weight(k)), euler, spec.delta, lines, readouts))
+    return units
+
+
+def _plane_integrals(
+    charts: list, h: int, euler: int, delta: int, lines: list, readouts: list
+) -> list[list[Fraction]]:
+    """Contributions of the fixed points on one plane to the integrals for
+    i = 0..size at each degree of ``readouts``, given its three charts as
+    (tangent values, cell weights at d0, shift per degree), its h, its
+    Grassmannian Euler factor and the xi-degrees ``lines[i]`` read per i.
+
+    The chern factors and chart series are computed once, the series at d0,
+    and sheared to each degree by ``_shear``.  A chart that is sheared keeps
+    every xi-row up to the top total degree, since the shear moves xi-degree
+    into eps-degree; the others keep only the rows that are read.
+
+    A line coefficient xi^x eps^e of the three-chart product is an integer
+    polynomial in t = d - d0 of degree at most e, since the shear brings t in
+    only with eps.  With E one more than the largest e read, the first E
+    degrees and the last are evaluated directly; the others get their line
+    coefficients by interpolation in t from the first E, and the last must
+    equal that interpolant, or this raises ArithmeticError.
+    """
+    size = len(lines) - 1
+    top = delta + 2 * size
     reads = [(i, x) for i, xs in enumerate(lines) for x in xs]
     rows = max(x for _, x in reads) + 1
-    cols = max(spec.delta + 2 * i - x for i, x in reads) + 1
-    d0 = readouts[0][0]
+    cols = max(delta + 2 * i - x for i, x in reads) + 1
     bases = []
-    for m in plane_points(plane):
-        weights = {cell: value(taut_cell_weight(plane, m, cell, d0)) for cell in cells}
-        w0, w1 = (value(taut_cell_weight(plane, m, (0, 0), d)) for d in (d0, d0 + 1))
-        shifts = [(d - d0) * (w1 - w0) for d, _ in readouts]
-        factors = _chern_factors(tangents[plane, m], size)
+    for tangents, weights, shifts in charts:
+        factors = _chern_factors(tangents, size)
         series = _chart_series(weights, factors, top + 1 if any(shifts) else rows, cols, top)
         bases.append((series, shifts))
 
     def direct(j: int) -> list:
-        charts = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
-        return _read_lines(charts, lines, spec.delta, top)
+        sheared = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
+        return _read_lines(sheared, lines, delta, top)
 
     # cols is E: every line coefficient read has degree below it in t
+    d0 = readouts[0][0]
     nodes = [d - d0 for d, _ in readouts[:cols]]
     first = [direct(j) for j in range(len(nodes))]
     lines_at = first + [_interpolated(first, nodes, d - d0) for d, _ in readouts[len(nodes) :]]
     if len(lines_at) > len(nodes) and direct(len(lines_at) - 1) != lines_at[-1]:
-        raise ArithmeticError(
-            f"a line coefficient of plane {plane} is not of degree below {len(nodes)} in d"
-        )
+        raise ArithmeticError(f"a line coefficient is not of degree below {len(nodes)} in d")
     out = []
     for read, (_, readout) in zip(lines_at, readouts):
         integrals = _weigh_lines(read, readout, h)
@@ -516,23 +524,23 @@ def integrate(
     must include spec.d, and ``value`` the last of them.
     ``fixed_point_count`` counts the fixed points at spec.i.  One call
     evaluates everything a count, or the samples of a node polynomial, need.
-    Each plane builds its three chart series once, at the first degree, and
-    shears them to the first E degrees and the last (see
-    ``_plane_integrals``); the line coefficients at the other degrees are
-    interpolated, so every degree of a call with at most E + 1 of them, a
-    count among them, is evaluated directly.
+    The plane-independent work is done once (``_plane_units``); each plane
+    then builds its three chart series at the first degree and shears them
+    to the first E degrees and the last (``_plane_integrals``), and the
+    other degrees are interpolated, so a call with at most E + 1 degrees, a
+    count among them, evaluates every degree directly.
 
-    Raises NonGenericSpecialization if a tangent weight at some size
-    <= spec.i vanishes.  With ``jobs`` > 1 and at least 64 fixed points at
-    spec.i the four planes go to one process pool of at most four workers.
+    Raises NonGenericSpecialization, before any plane unit runs, if a
+    tangent weight at some size <= spec.i vanishes.  With ``jobs`` > 1 and
+    at least 64 fixed points at spec.i the four plane units go to one
+    process pool of at most four workers.
     """
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
     readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
     points = fixed_point_count(spec.i)
-    exponents = _tangent_exponents(spec.i)
-    args = (range(4), repeat(spec), repeat(specialization), repeat(readouts), repeat(exponents))
+    args = tuple(zip(*_plane_units(spec, specialization, readouts)))
     if jobs <= 1 or points < 64:
         parts = list(map(_plane_integrals, *args))
     else:

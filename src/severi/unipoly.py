@@ -30,11 +30,6 @@ class UniPoly:
     def constant(cls, c) -> "UniPoly":
         return cls((rat(c),))
 
-    @classmethod
-    def variable(cls) -> "UniPoly":
-        """The polynomial d itself."""
-        return cls((0, 1))
-
     def degree(self) -> int:
         """Index of the last nonzero coefficient; -1 for the zero polynomial."""
         return len(self.coeffs) - 1

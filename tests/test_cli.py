@@ -8,6 +8,7 @@ from helpers import reference_count
 import severi.calibrate as calibrate
 import severi.localization as localization
 from severi.cli import main
+from severi.integrand import P2_FIXED, P3
 
 
 @pytest.fixture(autouse=True)
@@ -238,6 +239,33 @@ def test_check_refuses_spec_outside_the_weights_section(capsys, monkeypatch, onl
     assert code == 2 and out == ""
     assert "--spec" in err and "weights section" in err
     assert work == []
+
+
+@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "weights"), ()])
+def test_check_refuses_mode_outside_the_dualspec_section(capsys, monkeypatch, only):
+    # only the dualspec section reads --mode; the table cases are p3 counts
+    # and would pass without ever using it
+    import severi.cli as cli
+
+    work = []
+    monkeypatch.setattr(cli, "run_calibration", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "count_nodal", lambda *a, **k: work.append(a))
+    code, out, err = run(capsys, "check", *only, "--max-delta", "1", "--mode", "p2")
+    assert code == 2 and out == ""
+    assert "--mode" in err and "dualspec section" in err
+    assert work == []
+
+
+def test_check_dualspec_reads_mode(capsys, monkeypatch):
+    import severi.cli as cli
+
+    modes = []
+    monkeypatch.setattr(cli, "count_nodal", lambda delta, d, mode, **k: modes.append(mode))
+    for argv, mode in (((), P3), (("--mode", "p2"), P2_FIXED)):
+        modes.clear()
+        code, out, _ = run(capsys, "check", "--only", "dualspec", *argv)
+        assert code == 0 and "ALL PASS" in out
+        assert modes and set(modes) == {mode}
 
 
 def test_check_weights_and_bps(capsys):

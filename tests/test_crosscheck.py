@@ -2,7 +2,6 @@ import pytest
 
 from severi.crosscheck import (
     enumerate_decompositions,
-    multiplicity,
     nu_class,
     reducible_count,
 )
@@ -37,38 +36,6 @@ def test_nu_unsupported():
         nu_class(2, 1, 7)
     with pytest.raises(ValueError):
         nu_class(1, 0, 6)  # outside the table range
-
-
-def test_multiplicity():
-    assert multiplicity((3, 4)) == 35
-    assert multiplicity((3, 3, 3)) == 280
-    assert multiplicity((9,)) == 1
-
-
-def stirling2(n, r):
-    if r == 0:
-        return 1 if n == 0 else 0
-    if n == 0:
-        return 0
-    return stirling2(n - 1, r - 1) + r * stirling2(n - 1, r)
-
-
-@pytest.mark.parametrize("n,r", [(4, 2), (5, 2), (5, 3), (6, 3), (7, 4)])
-def test_multiplicity_sums_to_stirling(n, r):
-    # summing over all block-size multisets gives the number of set
-    # partitions into exactly r nonempty blocks
-
-    def multisets(total, parts, cap):
-        if parts == 0:
-            if total == 0:
-                yield ()
-            return
-        for first in range(min(total - parts + 1, cap), 0, -1):
-            for rest in multisets(total - first, parts - 1, first):
-                yield (first,) + rest
-
-    total = sum(multiplicity(nbar) for nbar in multisets(n, r, n))
-    assert total == stirling2(n, r)
 
 
 def test_enumerate_decompositions_quartic_four_nodes():

@@ -243,8 +243,8 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
     readouts = [(d, localization._readout_terms(replace(s, d=d), h4_rule)) for d in DEGREES]
-    exponents = localization._tangent_exponents(s.i)
-    per_plane = [_plane_integrals(k, s, sp, readouts, exponents) for k in (3, 2, 1, 0)]
+    units = localization._plane_units(s, sp, readouts)
+    per_plane = [_plane_integrals(*unit) for unit in reversed(units)]
     for d, per_degree in zip(DEGREES, zip(*per_plane)):
         assert tuple(sum(column, Fraction(0)) for column in zip(*per_degree)) == res.by_degree[d]
 
@@ -340,24 +340,43 @@ def test_verify_compares_every_degree_and_i(monkeypatch):
 
 def test_non_generic_plane_units_raise_before_any_cell_product(monkeypatch):
     # NON_GENERIC makes a Hilbert tangent weight vanish at i=3, at a chart of
-    # some plane; every plane unit must notice before real work
-    calls = []
+    # some plane; integrate must notice before any plane unit or pool starts
+    calls, pools = [], []
     times_cell = localization._times_cell
     monkeypatch.setattr(
         localization, "_times_cell", lambda *a: calls.append(a) or times_cell(*a)
     )
+    monkeypatch.setitem(
+        vars(localization), "ProcessPoolExecutor", lambda *a, **k: pools.append(a) or 1 / 0
+    )
     s = IntegrandSpec(i=3, delta=3, d=4)
-    readouts = [(d, localization._readout_terms(replace(s, d=d), True)) for d in (4, 5)]
-    exponents = localization._tangent_exponents(s.i)
-    for plane in range(4):
-        with pytest.raises(NonGenericSpecialization):
-            _plane_integrals(plane, s, NON_GENERIC, readouts, exponents)
-    assert calls == []
-    shallow = replace(s, i=2)
-    readouts = [(4, localization._readout_terms(shallow, True))]
-    exponents = localization._tangent_exponents(shallow.i)
-    assert _plane_integrals(0, shallow, NON_GENERIC, readouts, exponents)  # the counter works
+    assert localization.fixed_point_count(s.i) >= 64  # jobs=2 would start the pool
+    with pytest.raises(NonGenericSpecialization):
+        integrate(s, NON_GENERIC, degrees=(4, 5), jobs=2)
+    assert calls == [] and pools == []
+    assert integrate(replace(s, i=2), NON_GENERIC, degrees=(4, 5))  # the counter works
     assert calls
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_chart_tangents_are_evaluated_once_per_chart_per_call(monkeypatch, tmp_path, jobs):
+    # the twelve charts' tangent values are the call's one genericity check;
+    # plane units evaluate none of their own, in this process or in a forked
+    # pool worker, so the calls are logged to a file both can append to
+    log = tmp_path / "calls"
+    chart_tangents = localization._chart_tangents
+
+    def logged(plane, point, *rest):
+        with open(log, "a") as f:
+            f.write(f"{plane} {point}\n")
+        return chart_tangents(plane, point, *rest)
+
+    monkeypatch.setattr(localization, "_chart_tangents", logged)
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    res = integrate(s, SP, degrees=(4, 5), jobs=jobs)
+    assert res.fixed_point_count >= 64  # with jobs=2 the pool runs the plane units
+    calls = sorted(tuple(map(int, line.split())) for line in log.read_text().splitlines())
+    assert calls == [(k, m) for k in range(4) for m in plane_points(k)]
 
 
 def test_non_generic_raises_where_the_reference_does():
