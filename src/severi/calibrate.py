@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crosscheck import nu_class
-from .localization import count_nodal
+from .localization import nodal_counts
 
 NU_TABLE = {
     (1, 0, 2): 1,
@@ -62,9 +62,9 @@ def run_calibration(seed: int = 0) -> list[CalibrationCheck]:
     for (d, delta, n), coeff in sorted(NU_TABLE.items()):
         nc = nu_class(d, delta, n)
         checks.append(CalibrationCheck(f"nu[{d},{delta},{n}]", coeff, nc.coefficient))
-    for d, expected in sorted(SMOOTH_COUNTS.items()):
-        got = count_nodal(0, d, seed=seed)
-        checks.append(CalibrationCheck(f"smooth-count[d={d}]", expected, got))
+    ds = sorted(SMOOTH_COUNTS)
+    for d, got in zip(ds, nodal_counts(0, ds, seed=seed).values):
+        checks.append(CalibrationCheck(f"smooth-count[d={d}]", SMOOTH_COUNTS[d], got))
     return checks
 
 

@@ -3,9 +3,11 @@
 The count of delta-nodal degree-d planar curves through general lines is a
 polynomial in d of degree at most 9 + 2*delta once d >= delta.  Sampling
 the localized count at 10 + 2*delta consecutive valid degrees therefore
-determines the polynomial; two extra sample points are always evaluated and
-must agree with the interpolant, which catches both degree-bound violations
-and sampling-window mistakes.  Sampling starts at d = delta + 1, inside the
+determines the polynomial.  Two extra samples are always evaluated, and the
+interpolant through all 12 + 2*delta samples must have degree below
+10 + 2*delta, which holds exactly when both extra samples agree with the
+interpolant of the others; this catches both degree-bound violations and
+sampling-window mistakes.  Sampling starts at d = delta + 1, inside the
 regime where the count is known to be polynomial.
 
 For the fixed-plane variant no degree bound is asserted a priori; the same
@@ -99,16 +101,13 @@ def node_polynomial(
     sample_ds, check_ds = ds[:n_samples], ds[n_samples:]
 
     values = nodal_counts(delta, ds, mode, seed=seed, verify=verify, jobs=jobs).values
-    poly = lagrange_interpolate(list(zip(sample_ds, values)))
-    for d, value in zip(check_ds, values[n_samples:]):
-        if poly(d) != value:
-            raise ArithmeticError(
-                "degree bound violated or sampling window invalid "
-                f"(delta={delta}, mode={mode}, extra sample d={d})"
-            )
-    # the interpolant has degree <= 9 + 2*delta by construction; the extra
-    # samples are what certify the true count agrees with it
-    assert mode != P3 or poly.degree() <= 9 + 2 * delta
+    poly = lagrange_interpolate(list(zip(ds, values)))
+    if poly.degree() >= n_samples:
+        raise ArithmeticError(
+            "degree bound violated or sampling window invalid (delta="
+            f"{delta}, mode={mode}: the extra sample at d = {check_ds[0]} or "
+            f"{check_ds[1]} disagrees with the interpolant of the others)"
+        )
     return NodePolynomialRecord(
         delta=delta,
         mode=mode,

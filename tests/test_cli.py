@@ -132,6 +132,11 @@ REQUIRED = {"count": ("--delta", "1", "--degree", "2"), "poly": ("--delta", "1")
         ("table", ("--no-verify",)),
         ("count", ("--verify", "--no-verify")),
         ("poly", ("--no-verify", "--verify")),
+        ("check", ("--max-delta", "3")),
+        ("check", ("--spec", "2,3,5,7")),
+        ("check", ("--mode", "p2")),
+        ("check", ("--jobs", "2")),
+        ("check", ("--only", "nu")),
     ],
 )
 def test_flags_a_subcommand_does_not_read_exit_2(capsys, monkeypatch, tmp_path, command, flags):
@@ -139,10 +144,26 @@ def test_flags_a_subcommand_does_not_read_exit_2(capsys, monkeypatch, tmp_path, 
     # --no-verify exclude each other; anything else is refused before any work
     monkeypatch.setenv("SEVERI_CACHE_DIR", str(tmp_path))
     monkeypatch.chdir(tmp_path)
+    integrals = []
+    monkeypatch.setattr(localization, "integrate", lambda *a, **k: integrals.append(a))
     code, out, err = run(capsys, command, *REQUIRED.get(command, ()), *flags)
     assert code == 2 and out == ""
     assert flags[0] in err
-    assert not list(tmp_path.iterdir())
+    assert not list(tmp_path.iterdir()) and integrals == []
+
+
+def test_poly_refuses_an_unusable_cache_dir_before_computing(capsys, monkeypatch, tmp_path):
+    import severi.node_polys as node_polys
+
+    def computing(*a, **k):
+        raise AssertionError("an unusable cache directory computes nothing")
+
+    monkeypatch.setattr(node_polys, "node_polynomial", computing)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, out, err = run(capsys, "poly", "--delta", "0", "--cache-dir", str(blocker / "sub"))
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_invalid_window_exits_2(capsys):
@@ -214,67 +235,51 @@ def test_poly_json_is_byte_identical_from_the_cache_and_across_fresh_caches(
 
 
 def test_check_calibration_section(capsys):
-    code, out, _ = run(capsys, "check", "--only", "nu")
+    code, out, _ = run(capsys, "check", "--only", "calibration")
     assert code == 0
     assert "17/17 pass" in out
     assert "ALL PASS" in out
 
 
 def test_check_tables_small(capsys):
-    code, out, _ = run(capsys, "check", "--only", "tables", "--max-delta", "3")
+    code, out, _ = run(capsys, "check", "--only", "tables")
     assert code == 0
-    assert "[tables]" in out and "ALL PASS" in out
+    assert "[tables] 8/8 pass" in out and "ALL PASS" in out
 
 
-@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "dualspec"), ()])
-def test_check_refuses_spec_outside_the_weights_section(capsys, monkeypatch, only):
-    # only the weights section reads --spec; any other section would run
-    # under its own seeded values and pass without ever using it
-    import severi.cli as cli
-
-    work = []
-    monkeypatch.setattr(cli, "run_calibration", lambda *a: work.append(a))
-    monkeypatch.setattr(cli, "count_nodal", lambda *a, **k: work.append(a))
-    code, out, err = run(capsys, "check", *only, "--max-delta", "3", "--spec", "2,3,5,7")
-    assert code == 2 and out == ""
-    assert "--spec" in err and "weights section" in err
-    assert work == []
-
-
-@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "weights"), ()])
-def test_check_refuses_mode_outside_the_dualspec_section(capsys, monkeypatch, only):
-    # only the dualspec section reads --mode; the table cases are p3 counts
-    # and would pass without ever using it
-    import severi.cli as cli
-
-    work = []
-    monkeypatch.setattr(cli, "run_calibration", lambda *a: work.append(a))
-    monkeypatch.setattr(cli, "count_nodal", lambda *a, **k: work.append(a))
-    code, out, err = run(capsys, "check", *only, "--max-delta", "1", "--mode", "p2")
-    assert code == 2 and out == ""
-    assert "--mode" in err and "dualspec section" in err
-    assert work == []
-
-
-def test_check_dualspec_reads_mode(capsys, monkeypatch):
+def test_check_dualspec_counts_in_both_modes(capsys, monkeypatch):
     import severi.cli as cli
 
     modes = []
-    monkeypatch.setattr(cli, "count_nodal", lambda delta, d, mode, **k: modes.append(mode))
-    for argv, mode in (((), P3), (("--mode", "p2"), P2_FIXED)):
-        modes.clear()
-        code, out, _ = run(capsys, "check", "--only", "dualspec", *argv)
-        assert code == 0 and "ALL PASS" in out
-        assert modes and set(modes) == {mode}
+    count_nodal = cli.count_nodal
+
+    def counting(delta, d, mode, **kwargs):
+        modes.append(mode)
+        return count_nodal(delta, d, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "count_nodal", counting)
+    code, out, _ = run(capsys, "check", "--only", "dualspec", "--json")
+    (section,) = json.loads(out)["sections"]
+    assert code == 0 and all(case["ok"] for case in section["cases"])
+    assert sorted(modes) == [P2_FIXED] * 6 + [P3] * 6
+    names = [case["name"] for case in section["cases"]]
+    assert names[0] == "dualspec[p3,0,2]" and names[-1] == "dualspec[p2,2,3]"
 
 
 def test_check_weights_and_bps(capsys):
     code, out, _ = run(capsys, "check", "--only", "weights")
-    assert code == 0
-    code, out, _ = run(capsys, "check", "--only", "weights", "--spec", "1,2,18,19")
-    assert code == 0
+    assert code == 0 and "[weights] 19/19 pass" in out
     code, out, _ = run(capsys, "check", "--only", "bps")
-    assert code == 0
+    assert code == 0 and "[bps] 13/13 pass" in out
+
+
+def test_check_bps_reads_seed(capsys, monkeypatch):
+    import severi.oracles as oracles
+
+    seeds = set()
+    monkeypatch.setattr(oracles, "bps_series_check", lambda *a, seed: seeds.add(seed) or True)
+    code, _, _ = run(capsys, "check", "--only", "bps", "--seed", "4")
+    assert code == 0 and seeds == {4}
 
 
 def test_check_json_shape(capsys):

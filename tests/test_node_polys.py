@@ -167,15 +167,33 @@ def test_extra_sample_stability_is_enforced(delta):
     assert len(rec.sample_ds) == 10 + 2 * delta
 
 
-def test_extra_sample_mismatch_fails(monkeypatch):
+@pytest.mark.parametrize("extra", [-2, -1], ids=["first", "second"])
+def test_extra_sample_mismatch_fails(monkeypatch, extra):
     # the certifying samples come from the same batched call as the others
     nodal_counts = node_polys.nodal_counts
 
-    def last_count_off_by_one(*args, **kwargs):
+    def extra_count_off_by_one(*args, **kwargs):
         counts = nodal_counts(*args, **kwargs)
-        return counts._replace(values=counts.values[:-1] + (counts.values[-1] + 1,))
+        values = list(counts.values)
+        values[extra] += 1
+        return counts._replace(values=tuple(values))
 
-    monkeypatch.setattr(node_polys, "nodal_counts", last_count_off_by_one)
+    monkeypatch.setattr(node_polys, "nodal_counts", extra_count_off_by_one)
+    with pytest.raises(ArithmeticError, match="extra sample"):
+        node_polynomial(1)
+
+
+def test_counts_one_degree_past_the_bound_fail(monkeypatch):
+    # counts of degree exactly 10 + 2*delta disagree with the interpolant of
+    # the first 10 + 2*delta samples at both extra samples
+    nodal_counts = node_polys.nodal_counts
+
+    def one_degree_too_high(delta, ds, *args, **kwargs):
+        counts = nodal_counts(delta, ds, *args, **kwargs)
+        values = [v + d ** (10 + 2 * delta) for v, d in zip(counts.values, ds)]
+        return counts._replace(values=tuple(values))
+
+    monkeypatch.setattr(node_polys, "nodal_counts", one_degree_too_high)
     with pytest.raises(ArithmeticError, match="extra sample"):
         node_polynomial(1)
 
