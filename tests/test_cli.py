@@ -247,6 +247,36 @@ def test_check_tables_small(capsys):
     assert "[tables] 8/8 pass" in out and "ALL PASS" in out
 
 
+def refuses_before_any_work(capsys, monkeypatch, argv, flag):
+    import severi.cli as cli
+
+    work = []
+    monkeypatch.setattr(cli, "run_calibration", lambda *a: work.append(a))
+    monkeypatch.setattr(cli, "count_nodal", lambda *a, **k: work.append(a))
+    code, out, err = run(capsys, "check", *argv)
+    assert code == 2 and out == ""
+    assert f"unrecognized arguments: {flag}" in err
+    assert work == []
+
+
+@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "dualspec"), ()])
+def test_check_refuses_spec_outside_the_weights_section(capsys, monkeypatch, only):
+    # weights uses its seeded draw: check takes no --spec in any section,
+    # the weights section included
+    refuses_before_any_work(capsys, monkeypatch, (*only, "--spec", "2,3,5,7"), "--spec")
+    refuses_before_any_work(
+        capsys, monkeypatch, ("--only", "weights", "--spec", "2,3,5,7"), "--spec"
+    )
+
+
+@pytest.mark.parametrize("only", [("--only", "tables"), ("--only", "weights"), ()])
+def test_check_refuses_mode_outside_the_dualspec_section(capsys, monkeypatch, only):
+    # dualspec counts in both modes: check takes no --mode in any section,
+    # the dualspec section included
+    refuses_before_any_work(capsys, monkeypatch, (*only, "--mode", "p2"), "--mode")
+    refuses_before_any_work(capsys, monkeypatch, ("--only", "dualspec", "--mode", "p2"), "--mode")
+
+
 def test_check_dualspec_counts_in_both_modes(capsys, monkeypatch):
     import severi.cli as cli
 
