@@ -56,7 +56,10 @@ def worker_count(arg: str) -> int:
 def _specialization(args) -> Specialization | None:
     if args.spec is None:
         return None
-    parts = [Fraction(x) for x in args.spec.split(",")]
+    try:
+        parts = [Fraction(x) for x in args.spec.split(",")]
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError(f"--spec {args.spec!r}: {exc}") from None
     if len(parts) != 4:
         raise ValueError("--spec needs exactly 4 comma-separated values")
     return Specialization(tuple(parts))

@@ -125,10 +125,6 @@ class IntegrandSpec:
         return self.d * (self.d + 3) // 2 + 3 - self.delta
 
     @property
-    def r(self) -> int:
-        return (self.d + 1) * (self.d + 2) // 2
-
-    @property
     def series_bound(self) -> int:
         return 3 + 2 * self.i + self.delta
 

@@ -10,9 +10,9 @@ interpolant of the others; this catches both degree-bound violations and
 sampling-window mistakes.  Sampling starts at d = delta + 1, inside the
 regime where the count is known to be polynomial.
 
-For the fixed-plane variant no degree bound is asserted a priori; the same
-window is used and stability is checked the same way (the observed degree
-is 2*delta).
+For the fixed-plane variant the count is a polynomial of degree 2*delta
+(Kleiman-Piene; Kool-Shende-Thomas), which is asserted on the same
+interpolant; the same window is used and stability is checked the same way.
 
 All the samples come from one ``integrate`` call.  It evaluates the first
 E degrees and the last one directly, with E = min(3*delta + 1, 2*delta + 4)
@@ -20,11 +20,12 @@ in p3 and 2*delta + 1 in p2, and gets the localization's line coefficients
 at the degrees in between by exact interpolation.  The last degree, the
 second extra sample, must equal that interpolant, and never depends on it.
 
-Records are persisted as one JSON file per (delta, mode), keyed also by the
-package version; coefficients are exact ``p/q`` strings so the round trip
-is lossless.  Writes go through a temp file and an atomic rename.  A record
-stores whether its samples were verified under a second specialization, and
-a request with verification on treats an unverified record as a miss.
+Records are persisted as one JSON file per (delta, mode) holding the
+record's fields and ``CACHE_VERSION``; a file of another version is a miss.
+Coefficients are exact ``p/q`` strings so the round trip is lossless.
+Writes go through a temp file and an atomic rename.  A record stores
+whether its samples were verified under a second specialization, and a
+request with verification on treats an unverified record as a miss.
 """
 
 from __future__ import annotations
@@ -33,16 +34,16 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import factorial
 
-from .integrand import P3, IntegrandSpec, MODES
+from .integrand import P2_FIXED, P3, IntegrandSpec, MODES
 # count_nodal is not called here any more; the benchmark's tracer
 # (bench/spans.py) still rebinds node_polys.count_nodal, so it stays importable
 from .localization import count_nodal, nodal_counts  # noqa: F401
 from .unipoly import UniPoly, lagrange_interpolate
 
-CACHE_VERSION = "severi-2"
+CACHE_VERSION = "severi-3"
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,8 @@ class NodePolynomialRecord:
     sample_ds: tuple[int, ...]
     check_ds: tuple[int, ...]
     seed: int
-    degree_bound_checked: bool
     verified: bool = False
     created_at: float = field(default_factory=time.time)
-    cache_version: str = CACHE_VERSION
 
     def ordered_polynomial(self) -> UniPoly:
         """delta! times the polynomial (the ordered-nodes normalization)."""
@@ -65,6 +64,8 @@ class NodePolynomialRecord:
 
 def valid_degrees(delta: int, mode: str, count: int) -> list[int]:
     """The first ``count`` degrees d >= delta + 1 admitting the integral."""
+    if mode not in MODES:
+        raise ValueError(f"unknown mode {mode!r}")
     out = []
     d = delta + 1
     while len(out) < count:
@@ -94,8 +95,6 @@ def node_polynomial(
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}")
     n_samples = 10 + 2 * delta
     ds = valid_degrees(delta, mode, n_samples + 2)
     sample_ds, check_ds = ds[:n_samples], ds[n_samples:]
@@ -108,6 +107,11 @@ def node_polynomial(
             f"{delta}, mode={mode}: the extra sample at d = {check_ds[0]} or "
             f"{check_ds[1]} disagrees with the interpolant of the others)"
         )
+    if mode == P2_FIXED and poly.degree() > 2 * delta:
+        raise ArithmeticError(
+            f"fixed-plane polynomial for delta={delta} has degree {poly.degree()} "
+            f"above the bound {2 * delta}"
+        )
     return NodePolynomialRecord(
         delta=delta,
         mode=mode,
@@ -115,7 +119,6 @@ def node_polynomial(
         sample_ds=tuple(sample_ds),
         check_ds=tuple(check_ds),
         seed=seed,
-        degree_bound_checked=True,
         verified=verify,
     )
 
@@ -139,18 +142,9 @@ def store(record: NodePolynomialRecord, cache_dir: str | None = None) -> str:
     cache_dir = cache_dir or default_cache_dir()
     os.makedirs(cache_dir, exist_ok=True)
     path = _cache_path(cache_dir, record.delta, record.mode)
-    payload = {
-        "cache_version": record.cache_version,
-        "delta": record.delta,
-        "mode": record.mode,
-        "coefficients": record.polynomial.to_coeff_strings(),
-        "sample_ds": list(record.sample_ds),
-        "check_ds": list(record.check_ds),
-        "seed": record.seed,
-        "degree_bound_checked": record.degree_bound_checked,
-        "verified": record.verified,
-        "created_at": record.created_at,
-    }
+    payload = {f.name: getattr(record, f.name) for f in fields(record)}
+    payload["polynomial"] = record.polynomial.to_coeff_strings()
+    payload["cache_version"] = CACHE_VERSION
     fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=".node-poly-", suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
@@ -174,18 +168,12 @@ def load(delta: int, mode: str, cache_dir: str | None = None) -> NodePolynomialR
             return None
         if payload.get("delta") != delta or payload.get("mode") != mode:
             return None
-        return NodePolynomialRecord(
-            delta=delta,
-            mode=mode,
-            polynomial=UniPoly.from_coeff_strings(payload["coefficients"]),
-            sample_ds=tuple(payload["sample_ds"]),
-            check_ds=tuple(payload["check_ds"]),
-            seed=payload["seed"],
-            degree_bound_checked=payload["degree_bound_checked"],
-            verified=payload["verified"],
-            created_at=payload["created_at"],
-        )
-    except (OSError, ValueError, KeyError, TypeError):
+        values = {f.name: payload[f.name] for f in fields(NodePolynomialRecord)}
+        values["polynomial"] = UniPoly.from_coeff_strings(values["polynomial"])
+        values["sample_ds"] = tuple(values["sample_ds"])
+        values["check_ds"] = tuple(values["check_ds"])
+        return NodePolynomialRecord(**values)
+    except (OSError, ValueError, KeyError, TypeError, AttributeError):
         return None
 
 

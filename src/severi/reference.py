@@ -172,15 +172,6 @@ class GradedPoly:
         res.table, res.terms = self.table, out
         return res
 
-    def __neg__(self) -> "GradedPoly":
-        res = GradedPoly.__new__(GradedPoly)
-        res.table = self.table
-        res.terms = {e: -c for e, c in self.terms.items()}
-        return res
-
-    def __sub__(self, other: "GradedPoly") -> "GradedPoly":
-        return self + (-other)
-
     def scaled(self, c) -> "GradedPoly":
         c = rat(c)
         res = GradedPoly.__new__(GradedPoly)

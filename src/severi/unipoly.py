@@ -52,26 +52,16 @@ class UniPoly:
             out[i] += c
         return UniPoly(out)
 
-    def __neg__(self) -> "UniPoly":
-        return UniPoly([-c for c in self.coeffs])
-
-    def __sub__(self, other: "UniPoly") -> "UniPoly":
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, UniPoly):
-            if not self.coeffs or not other.coeffs:
-                return UniPoly.zero()
-            out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return UniPoly(out)
-        return self.scaled(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "UniPoly") -> "UniPoly":
+        if not self.coeffs or not other.coeffs:
+            return UniPoly.zero()
+        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return UniPoly(out)
 
     def scaled(self, c) -> "UniPoly":
         c = rat(c)
@@ -83,9 +73,6 @@ class UniPoly:
         for c in reversed(self.coeffs):
             acc = acc * x + c
         return acc
-
-    def coefficient(self, k: int) -> Fraction:
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else Fraction(0)
 
     def to_coeff_strings(self) -> list[str]:
         return [rat_str(c) for c in self.coeffs]

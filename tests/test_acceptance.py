@@ -2,7 +2,7 @@
 
 Run with plain ``pytest``; the PASS/FAIL lines are printed outside capture
 so they are visible in any run.  The heaviest case (delta=8, d=5) uses a
-small process pool and dominates the runtime (a couple of minutes).
+small process pool and takes about half a second.
 """
 
 import random

@@ -94,6 +94,30 @@ def test_invalid_spec_exits_2(capsys):
     assert "distinct" in err
 
 
+def test_spec_with_a_zero_denominator_exits_2_before_calibration(capsys, monkeypatch):
+    import severi.cli as cli
+
+    calibrations = []
+    monkeypatch.setattr(cli, "ensure_calibrated", lambda *a: calibrations.append(a))
+    code, out, err = run(capsys, "count", "--delta", "1", "--degree", "2", "--spec", "1/0,1,2,3")
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--spec" in err and "Traceback" not in err
+    assert calibrations == []
+
+
+def test_count_refuses_zero_workers(capsys):
+    code, out, err = run(capsys, "count", "--delta", "1", "--degree", "2", "--jobs", "0")
+    assert code == 2 and out == ""
+    assert "worker count must be >= 1" in err
+
+
+def test_count_with_two_workers(capsys):
+    code, out, _ = run(capsys, "count", "--delta", "3", "--degree", "3", "--jobs", "2")
+    assert code == 0
+    assert out.strip() == "7280"
+
+
 def test_non_generic_explicit_spec_exits_2_without_resampling(capsys):
     # (1,2,4,3) makes a Hilbert tangent weight vanish on the square partition
     code, out, err = run(capsys, "count", "--delta", "4", "--degree", "4", "--spec", "1,2,4,3")

@@ -116,7 +116,7 @@ def test_integrand_spec_validation():
     with pytest.raises(ValueError):
         IntegrandSpec(i=0, delta=0, d=1, mode=P2_FIXED)  # n = 5 < 6
     s = IntegrandSpec(i=2, delta=3, d=4)
-    assert (s.n, s.r, s.dimension, s.series_bound) == (14, 15, 7, 10)
+    assert (s.n, s.dimension, s.series_bound) == (14, 7, 10)
 
 
 def test_build_integrand_zero_case():

@@ -27,11 +27,15 @@ def test_valid_degrees_start():
     assert valid_degrees(0, P2_FIXED, 3) == [2, 3, 4]
 
 
+def test_valid_degrees_rejects_an_unknown_mode():
+    with pytest.raises(ValueError, match="unknown mode"):
+        valid_degrees(1, "p4", 3)
+
+
 def test_delta0_polynomial_matches_reference():
     rec = node_polynomial(0)
     assert rec.ordered_polynomial() == ORDERED_REFERENCE[0]
     assert rec.polynomial.degree() == 9
-    assert rec.degree_bound_checked
 
 
 def test_delta0_polynomial_from_eleven_samples():
@@ -115,6 +119,11 @@ def test_load_corrupt_cache(tmp_path):
     assert load(0, "p3", str(tmp_path)) is None
 
 
+def test_load_a_cache_file_that_is_not_an_object(tmp_path):
+    (tmp_path / "node-poly-p3-delta0.json").write_text("[]")
+    assert load(0, "p3", str(tmp_path)) is None
+
+
 def test_cached_recomputes_on_corruption(tmp_path):
     path = tmp_path / "node-poly-p3-delta0.json"
     path.write_text("not json at all")
@@ -133,7 +142,6 @@ def test_concurrent_store_single_winner(tmp_path):
         sample_ds=rec.sample_ds,
         check_ds=rec.check_ds,
         seed=99,
-        degree_bound_checked=True,
     )
     threads = [
         threading.Thread(target=store, args=(r, str(tmp_path)))
@@ -159,12 +167,13 @@ def test_env_cache_dir(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("delta", [0, 1])
 def test_extra_sample_stability_is_enforced(delta):
+    from severi.localization import count_nodal
+
     rec = node_polynomial(delta)
-    for d in rec.check_ds:
-        assert rec.polynomial(d) == rec.polynomial(d)  # trivially, but:
-    # the record only exists because the in-op extra-sample check passed
     assert len(rec.check_ds) == 2
     assert len(rec.sample_ds) == 10 + 2 * delta
+    for d in rec.check_ds:
+        assert rec.polynomial(d) == count_nodal(delta, d)
 
 
 @pytest.mark.parametrize("extra", [-2, -1], ids=["first", "second"])
@@ -196,6 +205,22 @@ def test_counts_one_degree_past_the_bound_fail(monkeypatch):
     monkeypatch.setattr(node_polys, "nodal_counts", one_degree_too_high)
     with pytest.raises(ArithmeticError, match="extra sample"):
         node_polynomial(1)
+
+
+@pytest.mark.parametrize("delta", [1, 2])
+def test_fixed_plane_counts_past_the_degree_bound_fail(monkeypatch, delta):
+    # a d^(2*delta + 1) term stays well inside the sampling window, so only
+    # the fixed-plane bound 2*delta catches it
+    nodal_counts = node_polys.nodal_counts
+
+    def one_degree_past_the_bound(delta, ds, *args, **kwargs):
+        counts = nodal_counts(delta, ds, *args, **kwargs)
+        values = [v + d ** (2 * delta + 1) for v, d in zip(counts.values, ds)]
+        return counts._replace(values=tuple(values))
+
+    monkeypatch.setattr(node_polys, "nodal_counts", one_degree_past_the_bound)
+    with pytest.raises(ArithmeticError, match=f"above the bound {2 * delta}"):
+        node_polynomial(delta, P2_FIXED)
 
 
 def test_pooled_polynomial_equals_serial():
