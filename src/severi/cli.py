@@ -186,7 +186,7 @@ def cmd_check(args) -> int:
 
         cases = []
         for delta in range(0, 13):
-            ok = all(bps_series_check(delta, g, seed=args.seed) for g in range(0, 41, 8))
+            ok = all(bps_series_check(delta, g) for g in range(0, 41, 8))
             cases.append({"name": f"bps[delta={delta}]", "ok": ok})
         sections.append({"name": "bps", "cases": cases})
 
@@ -328,10 +328,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CalibrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ArithmeticError as exc:
+    except (CalibrationError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (ValueError, KeyError, OSError) as exc:

@@ -83,7 +83,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import chain
 from math import comb, lcm, prod
-from operator import add, mul
+from operator import mul
 from typing import NamedTuple
 
 from .integrand import P3, IntegrandSpec, bps_coefficients, genus, incidence_terms, segre_coeffs
@@ -91,11 +91,10 @@ from .partitions import fixed_point_count, partitions, plane_points
 from .weights import (
     NonGenericSpecialization,
     Specialization,
-    char_ratio,
     chart_weights,
     gr_tangent_weights,
     h_weight,
-    hilb_tangent_weights,
+    hilb_tangent_exponents,
     taut_cell_weight,
 )
 
@@ -133,21 +132,13 @@ def _product(p, q, low: int, top: int):
     ]
 
 
-def _times_eps_poly(g, c, low: int, top: int):
-    """g * c for a polynomial c in eps alone, kept to total degrees low..top."""
-    c_rev = c[::-1]
-    pad = [0] * (len(c) - 1)
-    out = []
-    for x, row in enumerate(g):
-        first = min(len(row), max(0, low - x))
-        last = max(first, min(len(row), top - x + 1))
-        padded = pad + row
-        out.append(
-            [0] * first
-            + [sum(map(mul, padded[e : e + len(c)], c_rev)) for e in range(first, last)]
-            + [0] * (len(row) - last)
-        )
-    return out
+def _add_times_eps_poly(out, g, c, low: int, top: int) -> None:
+    """Add g * c, for a polynomial c in eps alone, into ``out`` over total
+    degrees low..top."""
+    n, c_rev = len(c) - 1, c[::-1]
+    for x, (row, grow) in enumerate(zip(out, g)):
+        for e in range(max(0, low - x), min(len(row), top - x + 1)):
+            row[e] += sum(map(mul, grow[max(0, e - n) : e + 1], c_rev[max(0, n - e) :]))
 
 
 def _times_cell(g, w: int, top: int):
@@ -166,18 +157,9 @@ def _times_cell(g, w: int, top: int):
 
 def _tangent_exponents(top_size: int) -> dict:
     """Each partition of size 1..top_size with its Hilbert tangent weights as
-    exponent pairs (a, b), standing for t1^a t2^b at any chart.
-
-    The weights are products of powers of the chart characters t1, t2, so
-    evaluating them once at the independent characters lambda_0/lambda_1
-    and lambda_0/lambda_2 reads the exponents off for every chart.
-    """
-    # t1^a t2^b is then the character (a + b, -a, -b, 0)
-    t1, t2 = char_ratio(0, 1), char_ratio(0, 2)
+    exponent pairs (a, b), standing for t1^a t2^b at any chart."""
     return {
-        mu: [(-w[1], -w[2]) for w in hilb_tangent_weights(mu, t1, t2)]
-        for n in range(1, top_size + 1)
-        for mu in partitions(n)
+        mu: hilb_tangent_exponents(mu) for n in range(1, top_size + 1) for mu in partitions(n)
     }
 
 
@@ -239,10 +221,7 @@ def _chart_series(weights: dict, factors: list, rows: int, cols: int, top: int):
             a, b = mu[-1] - 1, len(mu) - 1
             parent = mu[:-1] + ((a,) if a else ())
             cell_products[mu] = _times_cell(cell_products[parent], weights[a, b], bound)
-            term = _times_eps_poly(cell_products[mu], chern, low, bound)
-            for x, (row, trow) in enumerate(zip(numerator, term)):
-                band = slice(max(0, low - x), max(0, bound - x + 1))
-                row[band] = map(add, row[band], trow[band])
+            _add_times_eps_poly(numerator, cell_products[mu], chern, low, bound)
         series.append((numerator, denominator))
     return series
 

@@ -14,11 +14,11 @@ For the fixed-plane variant the count is a polynomial of degree 2*delta
 (Kleiman-Piene; Kool-Shende-Thomas), which is asserted on the same
 interpolant; the same window is used and stability is checked the same way.
 
-All the samples come from one ``integrate`` call.  It evaluates the first
-E degrees and the last one directly, with E = min(3*delta + 1, 2*delta + 4)
-in p3 and 2*delta + 1 in p2, and gets the localization's line coefficients
-at the degrees in between by exact interpolation.  The last degree, the
-second extra sample, must equal that interpolant, and never depends on it.
+All the samples come from one ``integrate`` call.  It evaluates its first
+few degrees and the last one directly (see ``localization.integrate``) and
+gets the localization's line coefficients at the degrees in between by
+exact interpolation.  The last degree, the second extra sample, must equal
+that interpolant, and never depends on it.
 
 Records are persisted as one JSON file per (delta, mode) holding the
 record's fields and ``CACHE_VERSION``; a file of another version is a miss.

@@ -4,10 +4,10 @@ Each oracle recomputes a quantity along a different derivation path than
 the production code and is compared exactly:
 
   * the BPS-style combination weights are checked against the defining
-    series transformation: random placeholder values are pushed through it
-    (with the powers of (1-q) expanded by the binomial and negative-binomial
-    series, not by the falling-factorial binomial of the production path)
-    and the triangular relation is solved back;
+    series transformation, exactly, one row of its triangular relation per
+    graded piece (with the powers of (1-q) expanded by the binomial and
+    negative-binomial series, not by the falling-factorial binomial of the
+    production path);
 
   * the Hilbert-scheme tangent weights from the arm/leg formula are checked
     against the torus decomposition of Hom(I, O/I) for the monomial ideal,
@@ -17,7 +17,6 @@ the production code and is compared exactly:
 
 from __future__ import annotations
 
-import random
 from fractions import Fraction
 from math import comb
 
@@ -37,28 +36,21 @@ def _one_minus_q_power(e: int, order: int) -> list[int]:
     return [comb(-e + k - 1, k) for k in range(order + 1)]
 
 
-def bps_series_check(delta: int, g: int, trials: int = 2, seed: int = 0) -> bool:
+def bps_series_check(delta: int, g: int) -> bool:
     """Verify the combination weights against the defining series identity.
 
-    Random integers x_0..x_delta play the role of the graded pieces; the
-    series sum_i x_i q^i (1-q)^{2(g-i)-2} is expanded and its coefficients
-    c_0..c_delta must recombine to x_delta through the production weights.
+    With graded pieces x_0..x_delta, the series sum_i x_i q^i (1-q)^{2(g-i)-2}
+    has coefficients c_n = sum_i x_i E_i[n - i], E_i the expansion of
+    (1-q)^{2(g-i)-2}, and c_0..c_delta must recombine to x_delta through the
+    production weights a_n for every choice of the x_i.  That is the row
+    identity sum_n a_n E_i[n - i] = [i == delta] for each i <= delta.
     """
-    rng = random.Random(seed * 1009 + delta * 31 + g)
     a = bps_coefficients(delta, g)
-    for _ in range(trials):
-        xs = [rng.randint(-50, 50) for _ in range(delta + 1)]
-        c = [Fraction(0)] * (delta + 1)
-        for i, x in enumerate(xs):
-            if x == 0:
-                continue
-            expansion = _one_minus_q_power(2 * (g - i) - 2, delta)
-            for n in range(i, delta + 1):
-                c[n] += x * expansion[n - i]
-        recovered = sum(ai * ci for ai, ci in zip(a, c))
-        if recovered != xs[delta]:
-            return False
-    return True
+    return all(
+        sum(a[n] * e for n, e in enumerate(_one_minus_q_power(2 * (g - i) - 2, delta - i), i))
+        == int(i == delta)
+        for i in range(delta + 1)
+    )
 
 
 # -- Hom(I, O/I) tangent-space oracle ----------------------------------------

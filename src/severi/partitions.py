@@ -60,25 +60,28 @@ def cells(mu) -> list[tuple[int, int]]:
 
 
 def conjugate(mu) -> Partition:
+    """The column lengths of the diagram with rows mu: for a partition, the
+    conjugate partition.  The parts are not validated."""
+    return tuple(sum(1 for part in mu if part > a) for a in range(max(mu, default=0)))
+
+
+def arms_legs(mu) -> dict[tuple[int, int], tuple[int, int]]:
+    """Arm and leg counts of every cell of mu, keyed by cell in the order of
+    ``cells``.  The partition is validated once; column a of the diagram
+    has conjugate(mu)[a] cells, so the leg of (a, b) is that less b + 1."""
     mu = check_partition(mu)
-    if not mu:
-        return ()
-    out = [0] * mu[0]
-    for part in mu:
-        for a in range(part):
-            out[a] += 1
-    return tuple(out)
+    legs = conjugate(mu)
+    return {
+        (a, b): (part - a - 1, legs[a] - b - 1) for b, part in enumerate(mu) for a in range(part)
+    }
 
 
 def arm_leg(mu, cell: tuple[int, int]) -> tuple[int, int]:
     """Arm and leg counts of a cell; the cell must lie in the diagram."""
-    mu = check_partition(mu)
-    a, b = cell
-    if not (0 <= b < len(mu) and 0 <= a < mu[b]):
-        raise ValueError(f"cell {cell} outside diagram {mu}")
-    arm = mu[b] - a - 1
-    leg = sum(1 for bp in range(b + 1, len(mu)) if mu[bp] > a)
-    return arm, leg
+    try:
+        return arms_legs(mu)[tuple(cell)]
+    except KeyError:
+        raise ValueError(f"cell {cell} outside diagram {mu}") from None
 
 
 def plane_points(plane: int) -> tuple[int, int, int]:

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .partitions import FixedPoint, arm_leg, cells, check_partition, plane_points
+from .partitions import FixedPoint, arms_legs, cells, plane_points
 from .rationals import rat
 
 Character = tuple[int, int, int, int]
@@ -135,20 +135,27 @@ def gr_tangent_weights(plane: int) -> list[Character]:
     return [_balanced(char_ratio(plane, j)) for j in range(4) if j != plane]
 
 
-def hilb_tangent_weights(mu, t1: Character, t2: Character) -> list[Character]:
-    """Tangent weights of the Hilbert scheme of a plane at the monomial ideal of mu.
+def hilb_tangent_exponents(mu) -> list[tuple[int, int]]:
+    """Tangent weights of the Hilbert scheme of a plane at the monomial ideal
+    of mu, as exponent pairs (a, b) standing for t1^a t2^b at any chart.
 
-    One pair per cell, via the arm/leg formula.  The multiset has exactly
-    2|mu| elements; the independent Hom(I, O/I) decomposition is reproduced
-    by the oracle in the test suite.
+    One pair per cell via the arm/leg formula, 2|mu| in all; the independent
+    Hom(I, O/I) decomposition is reproduced by ``oracles.hom_tangent_exponents``.
     """
-    mu = check_partition(mu)
-    out: list[Character] = []
-    for cell in cells(mu):
-        a, l = arm_leg(mu, cell)
-        out.append(_balanced(char_mul(char_pow(t1, -(a + 1)), char_pow(t2, l))))
-        out.append(_balanced(char_mul(char_pow(t1, a), char_pow(t2, -(l + 1)))))
-    return out
+    return [
+        pair
+        for arm, leg in arms_legs(mu).values()
+        for pair in ((-(arm + 1), leg), (arm, -(leg + 1)))
+    ]
+
+
+def hilb_tangent_weights(mu, t1: Character, t2: Character) -> list[Character]:
+    """The Hilbert tangent weights of mu (``hilb_tangent_exponents``) as
+    characters, given the chart characters t1 and t2."""
+    return [
+        _balanced(char_mul(char_pow(t1, a), char_pow(t2, b)))
+        for a, b in hilb_tangent_exponents(mu)
+    ]
 
 
 def taut_weights(fp: FixedPoint, d: int) -> list[Character]:

@@ -1,6 +1,7 @@
 import itertools
 import json
 import time
+from dataclasses import replace
 
 import pytest
 from helpers import reference_count
@@ -103,6 +104,17 @@ def test_spec_with_a_zero_denominator_exits_2_before_calibration(capsys, monkeyp
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
     assert "--spec" in err and "Traceback" not in err
+    assert calibrations == []
+
+
+def test_spec_of_three_values_exits_2_before_calibration(capsys, monkeypatch):
+    import severi.cli as cli
+
+    calibrations = []
+    monkeypatch.setattr(cli, "ensure_calibrated", lambda *a: calibrations.append(a))
+    code, out, err = run(capsys, "count", "--delta", "1", "--degree", "2", "--spec", "1,2,3")
+    assert code == 2 and out == ""
+    assert err == "error: --spec needs exactly 4 comma-separated values\n"
     assert calibrations == []
 
 
@@ -327,15 +339,6 @@ def test_check_weights_and_bps(capsys):
     assert code == 0 and "[bps] 13/13 pass" in out
 
 
-def test_check_bps_reads_seed(capsys, monkeypatch):
-    import severi.oracles as oracles
-
-    seeds = set()
-    monkeypatch.setattr(oracles, "bps_series_check", lambda *a, seed: seeds.add(seed) or True)
-    code, _, _ = run(capsys, "check", "--only", "bps", "--seed", "4")
-    assert code == 0 and seeds == {4}
-
-
 def test_check_json_shape(capsys):
     code, out, _ = run(capsys, "check", "--only", "dualspec", "--json")
     payload = json.loads(out)
@@ -354,6 +357,30 @@ def test_fault_injection_fails_calibration(capsys, monkeypatch):
     code, out, err = run(capsys, "count", "--delta", "0", "--degree", "2")
     assert code == 1
     assert "calibration" in err
+
+
+def test_verification_failure_exits_1(capsys, monkeypatch, tmp_path):
+    # under every specialization but the default, each integral is one more:
+    # calibration (default only) passes, and the verifying run disagrees
+    real = localization.integrate
+    default = localization.Specialization.default()
+
+    def disagreeing(spec, specialization, **kw):
+        res = real(spec, specialization, **kw)
+        if specialization == default:
+            return res
+        by_degree = {d: tuple(v + 1 for v in vs) for d, vs in res.by_degree.items()}
+        return replace(res, by_degree=by_degree)
+
+    monkeypatch.setattr(localization, "integrate", disagreeing)
+    for argv in (
+        ("count", "--delta", "1", "--degree", "3", "--verify"),
+        ("poly", "--delta", "1", "--cache-dir", str(tmp_path)),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: specialization disagreement") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_version(capsys):

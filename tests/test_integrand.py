@@ -51,6 +51,21 @@ def test_bps_series_oracle_subset(delta):
         assert bps_series_check(delta, g)
 
 
+@pytest.mark.parametrize("delta", range(1, 9))
+def test_bps_series_oracle_refuses_one_perturbed_weight(monkeypatch, delta):
+    import severi.oracles as oracles
+
+    for k in range(delta + 1):
+
+        def perturbed(delta, g, k=k):
+            a = list(bps_coefficients(delta, g))
+            a[k] += 1
+            return tuple(a)
+
+        monkeypatch.setattr(oracles, "bps_coefficients", perturbed)
+        assert not any(bps_series_check(delta, g) for g in (0, 1, 7, 40)), k
+
+
 def test_one_minus_q_power_equals_repeated_series_products():
     def times(a, b, order):
         return [sum(a[j] * b[k - j] for j in range(k + 1)) for k in range(order + 1)]

@@ -56,6 +56,13 @@ def test_count_invalid_window():
         count_nodal(3, 1)  # n = 2 < 3
 
 
+def test_nodal_counts_refuse_a_negative_delta_and_no_degrees():
+    with pytest.raises(ValueError, match="delta must be >= 0"):
+        nodal_counts(-1, (3,))
+    with pytest.raises(ValueError, match="at least one degree"):
+        nodal_counts(1, ())
+
+
 def test_shuffle_invariance():
     s = IntegrandSpec(i=2, delta=2, d=3)
     integrand = build_integrand(s)

@@ -124,6 +124,30 @@ def test_load_a_cache_file_that_is_not_an_object(tmp_path):
     assert load(0, "p3", str(tmp_path)) is None
 
 
+def small_record(delta=0, mode="p3"):
+    return NodePolynomialRecord(
+        delta=delta, mode=mode, polynomial=UniPoly([1]), sample_ds=(1,), check_ds=(2,), seed=0
+    )
+
+
+@pytest.mark.parametrize("delta, mode", [(1, "p3"), (0, P2_FIXED)])
+def test_load_a_file_whose_record_disagrees_with_its_name(tmp_path, delta, mode):
+    path = store(small_record(), str(tmp_path))
+    assert load(0, "p3", str(tmp_path)) is not None
+    os.replace(path, tmp_path / f"node-poly-{mode}-delta{delta}.json")
+    assert load(delta, mode, str(tmp_path)) is None
+
+
+def test_store_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
+    def failing(src, dst):
+        raise OSError("rename refused")
+
+    monkeypatch.setattr(node_polys.os, "replace", failing)
+    with pytest.raises(OSError, match="rename refused"):
+        store(small_record(), str(tmp_path))
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_cached_recomputes_on_corruption(tmp_path):
     path = tmp_path / "node-poly-p3-delta0.json"
     path.write_text("not json at all")

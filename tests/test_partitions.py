@@ -2,6 +2,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import severi.partitions
+import severi.weights
+from severi.oracles import hom_tangent_exponents
 from severi.partitions import (
     FixedPoint,
     arm_leg,
@@ -13,6 +16,7 @@ from severi.partitions import (
     partitions,
     plane_points,
 )
+from severi.weights import hilb_tangent_exponents
 
 
 def partition_count(n: int) -> int:
@@ -112,3 +116,28 @@ def test_cells_and_armleg_reconstruct_partition(n):
             assert rebuilt == mu
         # conjugation is an involution matching transposed cells
         assert sorted((b, a) for a, b in cs) == sorted(cells(conjugate(mu)))
+
+
+def test_hilb_tangent_exponents_equal_the_hom_oracle_up_to_size_8():
+    for n in range(9):
+        for mu in partitions(n):
+            assert sorted(hilb_tangent_exponents(mu)) == sorted(hom_tangent_exponents(mu)), mu
+
+
+def test_hilb_tangent_exponents_validate_the_partition_once(monkeypatch):
+    calls = []
+    real = severi.partitions.check_partition
+
+    def counting(mu):
+        calls.append(mu)
+        return real(mu)
+
+    for module in (severi.partitions, severi.weights):
+        if hasattr(module, "check_partition"):
+            monkeypatch.setattr(module, "check_partition", counting)
+    for mu in ((1,), [3, 2, 2, 1], (5, 3, 3, 1, 1)):
+        calls.clear()
+        assert len(hilb_tangent_exponents(mu)) == 2 * sum(mu)
+        assert calls == [mu]
+    with pytest.raises(ValueError):
+        hilb_tangent_exponents([1, 2])
