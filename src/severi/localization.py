@@ -24,7 +24,9 @@ on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
 to zero and higher ones are cut by the degree cap.  Those few coefficients
 are weighted by the incidence term, the Segre coefficient rho_t and the
 power of H (with H^4 = 0 only under the H^4 rule), divided by the
-Grassmannian Euler factor and summed over the four planes.
+Grassmannian Euler factor and summed over the four planes.  In the
+fixed-plane mode (p2) one plane's chart sum alone is the integral, with no
+Euler division (see ``_plane_units``).
 
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i, size, it
@@ -62,13 +64,13 @@ calls.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
-changes nothing.  Each call evaluates the tangent weights of all twelve
-charts once, before any plane unit runs; a vanishing one raises
-``NonGenericSpecialization``, and a count moves on to another specialization
-only if the caller gave none (see ``nodal_counts``).  Planes are independent
-work units, each given only its own three charts, and the optional process
-pool evaluates them in parallel; exact sums make any order give the
-identical result.
+changes nothing.  Each call evaluates the tangent weights of the charts
+it reads once, before any plane unit runs: all twelve in p3, the fixed
+plane's three in p2.  A vanishing one raises ``NonGenericSpecialization``,
+and a count moves on to another specialization only if the caller gave none
+(see ``nodal_counts``).  Planes are independent work units, each given only
+its own three charts, and the optional process pool evaluates the four p3
+units in parallel; exact sums make any order give the identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
 for i = 0..delta with the unitriangular-inverse weights; the combination is
@@ -100,6 +102,10 @@ from .weights import (
 
 @dataclass(frozen=True)
 class IntegralResult:
+    """What ``integrate`` returns.  ``fixed_point_count`` is the number of
+    torus-fixed points of the length-i Hilbert scheme at the largest i,
+    over all four planes; a p2 call evaluates one plane's share of them."""
+
     value: Fraction
     values: tuple[Fraction, ...]
     by_degree: dict[int, tuple[Fraction, ...]]
@@ -399,12 +405,29 @@ def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, in
     return out
 
 
+# the plane whose fixed points carry a fixed-plane (p2) integral; it holds
+# P_0, whose chart has slope 0
+_FIXED_PLANE = 1
+
+
 def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: list) -> list:
-    """The ``_plane_integrals`` arguments of V_0..V_3 at the degrees of
-    ``readouts``, a list of (d, ``_readout_terms`` at d), prepared once per
-    call.  Evaluating the tangent weights of all twelve charts here is the
-    one genericity check: a non-generic draw raises before any cell product
-    and before a pool starts.  A cell weight at d is its value at the first
+    """The ``_plane_integrals`` arguments of the planes a call evaluates, at
+    the degrees of ``readouts``, a list of (d, ``_readout_terms`` at d),
+    prepared once per call.
+
+    In p3 these are V_0..V_3, each with its Grassmannian Euler factor.  In
+    p2 the incidence factor is H^3, the class of a point of the Grassmannian.
+    Its lift prod_{j != k} (H - h_j), the class of the plane V_k, differs
+    from H^3 only by terms of degree below the dimension, which integrate to
+    zero; it restricts to 0 at the other planes and to the Euler factor at
+    V_k.  So the integral is V_k's chart sum alone, read with H^(3 + t) as
+    h_k^t and no Euler division: one unit, k = _FIXED_PLANE.  (A line read
+    for t >= 1, only without the H^4 rule, integrates a class of degree
+    below 2i over the compact Hilb^i(V_k), so it is zero.)
+
+    Evaluating the tangent weights of the units' charts here is the one
+    genericity check: a non-generic draw raises before any cell product and
+    before a pool starts.  A cell weight at d is its value at the first
     degree d0 plus (d - d0) times one slope per chart (zero at P_0).
     """
     # integer torus values: the contribution is homogeneous of degree zero
@@ -414,8 +437,16 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
     def value(char) -> int:
         return sum(map(mul, char, scaled))
 
-    # nonzero: each factor is a difference of two of the pairwise distinct values
-    eulers = [prod(value(w) for w in gr_tangent_weights(k)) for k in range(4)]
+    if spec.mode == P3:
+        # nonzero: each factor is a difference of two of the pairwise distinct values
+        planes = [(k, prod(value(w) for w in gr_tangent_weights(k)), readouts) for k in range(4)]
+    else:
+        # H^(3 + t) reads as h^t
+        shifted = [
+            (d, [({(x, p - 3): c for (x, p), c in t.items()}, den) for t, den in readout])
+            for d, readout in readouts
+        ]
+        planes = [(_FIXED_PLANE, 1, shifted)]
     exponents = _tangent_exponents(spec.i)
     cells = [(a, b) for a in range(spec.i) for b in range(spec.i // (a + 1))]
     lines = [
@@ -423,14 +454,14 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
     ]
     d0 = readouts[0][0]
     units = []
-    for k, euler in enumerate(eulers):
+    for k, euler, plane_readouts in planes:
         charts = []
         for m in plane_points(k):
             tangents = _chart_tangents(k, m, exponents, value)
             weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
             w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
             charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d, _ in readouts]))
-        units.append((charts, value(h_weight(k)), euler, spec.delta, lines, readouts))
+        units.append((charts, value(h_weight(k)), euler, spec.delta, lines, plane_readouts))
     return units
 
 
@@ -440,7 +471,8 @@ def _plane_integrals(
     """Contributions of the fixed points on one plane to the integrals for
     i = 0..size at each degree of ``readouts``, given its three charts as
     (tangent values, cell weights at d0, shift per degree), its h, its
-    Grassmannian Euler factor and the xi-degrees ``lines[i]`` read per i.
+    Grassmannian Euler factor (1 in p2) and the xi-degrees ``lines[i]`` read
+    per i.
 
     The chern factors and chart series are computed once, the series at d0,
     and sheared to each degree by ``_shear``.  A chart that is sheared keeps
@@ -498,26 +530,30 @@ def integrate(
     ``by_degree[d][i]`` is the integral over the length-i relative Hilbert
     scheme at degree d; ``values`` is ``by_degree[spec.d]``, so ``degrees``
     must include spec.d, and ``value`` the last of them.
-    ``fixed_point_count`` counts the fixed points at spec.i.  One call
-    evaluates everything a count, or the samples of a node polynomial, need.
-    The plane-independent work is done once (``_plane_units``); each plane
-    then builds its three chart series at the first degree and shears them
-    to the first E degrees and the last (``_plane_integrals``), and the
-    other degrees are interpolated, so a call with at most E + 1 degrees, a
-    count among them, evaluates every degree directly.
+    ``fixed_point_count`` counts the fixed points at spec.i over all four
+    planes.  One call evaluates everything a count, or the samples of a
+    node polynomial, need.  The plane-independent work is done once
+    (``_plane_units``), which gives one unit per plane evaluated: V_0..V_3
+    in p3, the fixed plane alone in p2.  Each unit then builds its three
+    chart series at the first degree and shears them to the first E degrees
+    and the last (``_plane_integrals``), and the other degrees are
+    interpolated, so a call with at most E + 1 degrees, a count among them,
+    evaluates every degree directly.
 
     Raises NonGenericSpecialization, before any plane unit runs, if a
-    tangent weight at some size <= spec.i vanishes.  With ``jobs`` > 1 and
-    at least 64 fixed points at spec.i the four plane units go to one
-    process pool of at most four workers.
+    tangent weight at some size <= spec.i vanishes at a chart of a unit.
+    With ``jobs`` > 1, at least 64 fixed points at spec.i and more than one
+    unit (so in p3 alone) the units go to one process pool of at most four
+    workers; p2 runs serially.
     """
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
     readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
     points = fixed_point_count(spec.i)
-    args = tuple(zip(*_plane_units(spec, specialization, readouts)))
-    if jobs <= 1 or points < 64:
+    units = _plane_units(spec, specialization, readouts)
+    args = tuple(zip(*units))
+    if jobs <= 1 or points < 64 or len(units) == 1:
         parts = list(map(_plane_integrals, *args))
     else:
         # looked up on the module, so that a wrapper bound there (the

@@ -12,7 +12,11 @@ the production code and is compared exactly:
   * the Hilbert-scheme tangent weights from the arm/leg formula are checked
     against the torus decomposition of Hom(I, O/I) for the monomial ideal,
     computed from minimal generators and their syzygies by exact linear
-    algebra.
+    algebra;
+
+  * the fixed-plane node polynomials are checked against the part of
+    Goettsche's generating function that holds no unknown series, built
+    from divisor sums alone.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from math import comb
 
 from .integrand import bps_coefficients
 from .partitions import check_partition
+from .unipoly import UniPoly
 from .weights import Character, Specialization, char_mul, char_pow, hilb_tangent_weights
 
 
@@ -50,6 +55,56 @@ def bps_series_check(delta: int, g: int) -> bool:
         sum(a[n] * e for n, e in enumerate(_one_minus_q_power(2 * (g - i) - 2, delta - i), i))
         == int(i == delta)
         for i in range(delta + 1)
+    )
+
+
+# -- Goettsche's generating function on the plane -------------------------------
+
+
+def _log_series(f: list[UniPoly]) -> list[UniPoly]:
+    """log f, for a power series f with f[0] = 1, to the order of f: from
+    f g' = f', n g_n = n f_n - sum_{0 < k < n} k g_k f_{n-k}."""
+    g = [UniPoly.zero()]
+    for n in range(1, len(f)):
+        acc = f[n].scaled(n)
+        for k in range(1, n):
+            acc = acc + (g[k] * f[n - k]).scaled(-k)
+        g.append(acc.scaled(Fraction(1, n)))
+    return g
+
+
+def goettsche_p2_check(polynomials) -> bool:
+    """Check the fixed-plane node polynomials T_0 = 1, T_1..T_delta (in d)
+    against Goettsche's conjecture (alg-geom/9711012; proved by Tzeng,
+    arXiv:1009.5371, and by Kool-Shende-Thomas, arXiv:1010.3211), up to
+    q^delta.
+
+    For S = P^2 and L = O(d) it says that, at x = DG2(q) with
+    DG2 = sum_n n sigma_1(n) q^n,
+
+        log sum_k T_k(d) x^k = chi(L) log(DG2/q) + K^2 log B1 + L.K log B2 + c(q),
+
+    with c(q) free of L: every q^n coefficient is linear in L^2 = d^2,
+    L.K = -3d, K^2 and c_2.  So each q^n coefficient of the left side must
+    have degree at most 2 in d and, as chi(L) = (d^2 + 3d)/2 + 1, a d^2
+    coefficient equal to the q^n coefficient of 1/2 log(DG2/q), which is
+    built from divisor sums alone.  The d^1 and d^0 parts hold the unknown
+    series B1 and B2, so for one surface they check nothing.
+    """
+    delta = len(polynomials) - 1
+    if polynomials[0] != UniPoly.constant(1):
+        return False
+    dg2 = [0] + [n * sum(k for k in range(1, n + 1) if n % k == 0) for n in range(1, delta + 2)]
+    # sum_k T_k(d) DG2^k, kept to q^delta; DG2 starts at q^1
+    series = [UniPoly.zero()] * (delta + 1)
+    power = [1] + [0] * delta
+    for t in polynomials:
+        series = [s + t.scaled(c) for s, c in zip(series, power)]
+        power = [sum(power[a] * dg2[n - a] for a in range(n + 1)) for n in range(delta + 1)]
+    expected = _log_series([UniPoly.constant(c) for c in dg2[1:]])
+    return all(
+        p.degree() <= 2 and UniPoly(p.coeffs[2:]) == e.scaled(Fraction(1, 2))
+        for p, e in zip(_log_series(series), expected)
     )
 
 

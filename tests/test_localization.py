@@ -386,6 +386,95 @@ def test_chart_tangents_are_evaluated_once_per_chart_per_call(monkeypatch, tmp_p
     assert calls == [(k, m) for k in range(4) for m in plane_points(k)]
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_fixed_plane_genericity_checks_only_the_charts_it_evaluates(monkeypatch, tmp_path, jobs):
+    # a p2 integral is one plane's chart sum, so only that plane's three
+    # charts need nonzero tangent weights; (1, 2, 3, 6) makes one vanish at
+    # i = 3 only at charts of V_3, so p2 accepts it and p3 does not
+    off_plane = Specialization((1, 2, 3, 6))
+    log = tmp_path / "calls"
+    chart_tangents = localization._chart_tangents
+
+    def logged(plane, point, *rest):
+        with open(log, "a") as f:
+            f.write(f"{plane} {point}\n")
+        return chart_tangents(plane, point, *rest)
+
+    monkeypatch.setattr(localization, "_chart_tangents", logged)
+    s = IntegrandSpec(i=3, delta=3, d=4, mode=P2_FIXED)
+    res = integrate(s, off_plane, degrees=(4, 5), jobs=jobs)
+    assert res.fixed_point_count >= 64  # jobs=2 would start a pool for more units
+    calls = [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+    assert sorted(calls) == [(1, m) for m in plane_points(1)]
+    assert res.by_degree == integrate(s, SP, degrees=(4, 5)).by_degree
+    counts = nodal_counts(3, (4, 5), P2_FIXED, specialization=off_plane)
+    assert counts.values == nodal_counts(3, (4, 5), P2_FIXED).values
+    with pytest.raises(NonGenericSpecialization, match="1,2,3,6"):
+        nodal_counts(3, (4, 5), specialization=off_plane)
+
+
+def test_fixed_plane_integrals_start_no_process_pool(monkeypatch):
+    # p2 has one plane unit, which a pool could hand to one worker at most
+    pools = []
+    monkeypatch.setitem(
+        vars(localization), "ProcessPoolExecutor", lambda *a, **k: pools.append(a) or 1 / 0
+    )
+    s = IntegrandSpec(i=3, delta=3, d=4, mode=P2_FIXED)
+    assert localization.fixed_point_count(s.i) >= 64
+    pooled = integrate(s, SP, degrees=(4, 5, 6), jobs=2)
+    assert pooled.by_degree == integrate(s, SP, degrees=(4, 5, 6), jobs=1).by_degree
+    assert pools == []
+
+
+@pytest.mark.parametrize("values", [None, (Fraction(1, 2), 3, Fraction(7, 3), 5)])
+@pytest.mark.parametrize("h4_rule", [True, False])
+def test_fixed_plane_integrals_equal_the_reference_on_every_plane(monkeypatch, h4_rule, values):
+    # the class of any one plane V_k lifts H^3, so V_k alone, read with
+    # H^(3 + t) as h_k^t and no Euler division, gives the four-plane sum
+    sp = Specialization.from_seed(11) if values is None else Specialization(values)
+    s = IntegrandSpec(i=3, delta=3, d=4, mode=P2_FIXED)
+    reference = [_reference_integral(replace(s, i=i), sp, h4_rule) for i in range(s.i + 1)]
+    for k in range(4):
+        monkeypatch.setattr(localization, "_FIXED_PLANE", k)
+        assert list(integrate(s, sp, h4_rule=h4_rule).values) == reference, k
+
+
+@pytest.mark.parametrize("h4_rule", [True, False])
+def test_fixed_plane_integrals_at_shuffled_degrees_equal_on_every_plane(monkeypatch, h4_rule):
+    # twelve degrees, so that some are interpolated (E = 9 in p2 at delta = 4)
+    s = IntegrandSpec(i=4, delta=4, d=6, mode=P2_FIXED)
+    degrees = (8, 3, 11, 5, 14, 6, 9, 12, 4, 13, 7, 10)
+    assert t_degree_bound(s, h4_rule) + 1 < len(degrees)
+    fixed = integrate(s, SP, h4_rule=h4_rule, degrees=degrees).by_degree
+    assert localization._FIXED_PLANE == 1
+    for k in (0, 2, 3):
+        monkeypatch.setattr(localization, "_FIXED_PLANE", k)
+        assert integrate(s, SP, h4_rule=h4_rule, degrees=degrees).by_degree == fixed, k
+
+
+def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
+    # without the H^4 rule a p2 readout also reads H^(3 + t), t >= 1, as h^t
+    # times the line at xi-degree delta + t; that line is the integral of a
+    # class of degree 2i - t over the compact fibre Hilb^i(V_k), so it is
+    # zero, and the unit's h enters no p2 value
+    s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
+    read = []
+    read_lines = localization._read_lines
+    monkeypatch.setattr(
+        localization, "_read_lines", lambda *a: read.append(read_lines(*a)) or read[-1]
+    )
+    for k in range(4):
+        monkeypatch.setattr(localization, "_FIXED_PLANE", k)
+        integrate(s, Specialization((Fraction(1, 2), 3, Fraction(7, 3), 5)), h4_rule=False)
+    assert len(read) == 4
+    for lines in read:
+        assert [sorted(line) for line, _ in lines] == [
+            list(range(s.delta, s.delta + 2 * i + 1)) for i in range(s.i + 1)
+        ]
+        assert all(c == 0 for line, _ in lines for x, c in line.items() if x > s.delta)
+        assert any(line[s.delta] for line, _ in lines)
+
+
 def test_non_generic_raises_where_the_reference_does():
     # NON_GENERIC makes a Hilbert tangent weight vanish at i=3
     s = IntegrandSpec(i=3, delta=3, d=4)

@@ -17,6 +17,7 @@ from severi.node_polys import (
     store,
     valid_degrees,
 )
+from severi.oracles import goettsche_p2_check
 from severi.unipoly import UniPoly
 
 
@@ -100,6 +101,21 @@ def test_fixed_plane_log_coefficients_are_quadratic_in_d():
         ]
         log = [acc + p.scaled(Fraction((-1) ** (m + 1), m)) for acc, p in zip(log, power)]
     assert [p.degree() for p in log[1:]] == [2] * top
+
+
+def test_fixed_plane_polynomials_meet_goettsches_divisor_sum_series():
+    # the d^2 part of log sum_k T_k(d) x^k at x = DG2(q) is 1/2 log(DG2/q)
+    # up to q^6; one changed coefficient of T_5 breaks it, though at q^5
+    # alone a change of its d^0 or d^1 coefficient does not show
+    polys = [node_polynomial(delta, P2_FIXED).polynomial for delta in range(7)]
+    for top in range(7):
+        assert goettsche_p2_check(polys[: top + 1]), top
+    for power in range(len(polys[5].coeffs)):
+        coeffs = list(polys[5].coeffs)
+        coeffs[power] += 1
+        changed = polys[:5] + [UniPoly(coeffs)] + polys[6:]
+        assert not goettsche_p2_check(changed), power
+        assert goettsche_p2_check(changed[:6]) == (power < 2), power
 
 
 def test_load_version_mismatch(tmp_path):
