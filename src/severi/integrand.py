@@ -6,7 +6,8 @@ the line/point incidence factor, the top Chern class of the twisted
 tautological bundle, and the truncated geometric series inverting its total
 Chern class), with the projective-bundle variable xi eliminated through the
 Chern classes of the direct image of O_S(d).  That elimination leaves one
-Segre coefficient of the direct image per power of H.
+Segre coefficient of the direct image per power of H.  Its Chern and Segre
+coefficients are integers.
 
 This module holds what ``localization`` needs besides the fixed-point
 weights: the spec of one integral (``IntegrandSpec``), the incidence terms,
@@ -18,7 +19,6 @@ itself, built symbolically, is the test reference in ``reference``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 
@@ -70,29 +70,31 @@ def bps_coefficients(delta: int, g: int) -> tuple[int, ...]:
     return tuple(a)
 
 
-def _sym_chern_coeffs(d: int):
-    """The H^0..H^3 coefficients of the total Chern class of q_* O_S(d)."""
+def _sym_chern_coeffs(d: int) -> tuple[int, int, int, int]:
+    """The H^0..H^3 coefficients of the total Chern class of q_* O_S(d),
+    the Chern classes of a vector bundle, so integers."""
     if d < 1:
         raise ValueError("degree must be >= 1")
-    a1 = Fraction(d * (d + 1) * (d + 2), 6)
-    a2 = Fraction(d * (d + 1) * (d + 2) * (d + 3) * (d * d + 2), 72)
-    a3 = Fraction(
-        d * (d + 1) * (d + 2) * (d + 3) * (d * d + 2) * (d**3 + 3 * d * d + 2 * d + 12),
-        1296,
-    )
-    return (Fraction(1), a1, a2, a3)
+    p1 = d * (d + 1) * (d + 2)
+    p2 = p1 * (d + 3) * (d * d + 2)
+    a1, r1 = divmod(p1, 6)
+    a2, r2 = divmod(p2, 72)
+    a3, r3 = divmod(p2 * (d**3 + 3 * d * d + 2 * d + 12), 1296)
+    assert r1 == r2 == r3 == 0
+    return (1, a1, a2, a3)
 
 
-def segre_coeffs(d: int, t_max: int) -> list[Fraction]:
-    """rho_0..rho_{t_max} with rho_t the H^t coefficient of the Segre class.
+def segre_coeffs(d: int, t_max: int) -> list[int]:
+    """rho_0..rho_{t_max} with rho_t the H^t coefficient of the Segre class,
+    integers since the Chern class is integral with constant term 1.
 
     These are exactly what the top-down xi-reduction contributes:
     reducing xi^{r-1+t} and extracting the coefficient of xi^{r-1} yields
     rho_t * H^t.
     """
     _, a1, a2, a3 = _sym_chern_coeffs(d)
-    a = (Fraction(0), a1, a2, a3)
-    rho = [Fraction(1)]
+    a = (0, a1, a2, a3)
+    rho = [1]
     for t in range(1, t_max + 1):
         rho.append(-sum(a[j] * rho[t - j] for j in range(1, min(3, t) + 1)))
     return rho

@@ -21,19 +21,19 @@ i is then the q^i coefficient of the product of the plane's three chart
 series, q counting partition size.  Cohomological degree exactly
 3 + 2i, the dimension, makes every coefficient the integral for i reads lie
 on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
-to zero and higher ones are cut by the degree cap.  Those few coefficients
-are weighted by the incidence term, the Segre coefficient rho_t and the
-power of H (with H^4 = 0 only under the H^4 rule), divided by the
+to zero and higher ones are cut by the degree cap.  The one at xi-degree x
+is weighted by an integer (incidence terms times Segre coefficients) and
+H^(3 + x - delta), with x <= delta under the H^4 rule, divided by the
 Grassmannian Euler factor and summed over the four planes.  In the
-fixed-plane mode (p2) one plane's chart sum alone is the integral, with no
-Euler division (see ``_plane_units``).
+fixed-plane mode (p2) the point class H^3 reads the line x = delta alone,
+of one plane's chart sum, with no Euler division (see ``_plane_units``).
 
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i, size, it
 builds the three chart series of a plane for sizes 0..size once, sums the
 products of the first two charts' size-a and size-b entries with a + b = s
 into one grid W[s] over one denominator, and reads every integral
-i' <= size off those grids with its own integer readout weights.  With
+i' <= size off those grids with the integer readout weights.  With
 top = delta + 2*size, an entry of size n is kept up to total degree
 top - (size - n), since the other charts bring at least size - n.  The
 size-size entries are kept on the line of total degree top alone: Z1[size]
@@ -279,31 +279,27 @@ def _shear(series, c: int, rows: int, top: int):
     ]
 
 
-def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> list[tuple[dict, int]]:
-    """Per i = 0..spec.i, what the integral reads: an integer coefficient
-    for each (xi-degree, power of H), and one denominator for all of them.
-    This depends on d but not on the plane.
+def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> dict[int, int]:
+    """What the integrals read: an integer weight per xi-degree x, taken with
+    H^(3 + x - delta).  The integral for i reads the x <= delta + 2i.  This
+    depends on d but not on the plane, and its keys not on d either.
 
-    The incidence term c H^j xi^s and the Segre term rho_t H^t read the
-    xi^(delta+t-s) coefficient of the chart product, in eps-degree
-    3 + 2i - j - t, so that xi- plus eps-degree is delta + 2i.
+    In p3 the incidence term c_s H^(3-s) xi^s and the Segre term rho_t H^t
+    read the xi^(delta+t-s) coefficient of the chart product.  The H^4 rule
+    keeps x <= delta.  In p2 the incidence class H^3 is a point class, so
+    only the line x = delta is read.
     """
-    rho = segre_coeffs(spec.d, 3 if h4_rule else spec.dimension)
-    top = spec.delta + 2 * spec.i
-    terms: dict[tuple[int, int], Fraction] = {}
-    for s, j, c in incidence_terms(spec):
+    if spec.mode != P3:
+        return {spec.delta: 1}
+    top = spec.delta if h4_rule else spec.delta + 2 * spec.i
+    rho = segre_coeffs(spec.d, top - spec.delta + 3)
+    terms: dict[int, int] = {}
+    for s, _, c in incidence_terms(spec):
         for t, r in enumerate(rho):
             x = spec.delta + t - s
-            if (h4_rule and j + t > 3) or not 0 <= x <= top:
-                continue
-            terms[x, j + t] = terms.get((x, j + t), 0) + c * r
-    # x <= delta + 2i already bounds t by 2i + s <= 3 + 2i, the dimension
-    out = []
-    for i in range(spec.i + 1):
-        kept = {key: c for key, c in terms.items() if key[0] <= spec.delta + 2 * i}
-        denominator = lcm(*(Fraction(c).denominator for c in kept.values()))
-        out.append(({key: int(c * denominator) for key, c in kept.items()}, denominator))
-    return out
+            if 0 <= x <= top:
+                terms[x] = terms.get(x, 0) + c * r
+    return terms
 
 
 def _pair_sums(first, second, top: int) -> list:
@@ -363,18 +359,16 @@ def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, i
     return out
 
 
-def _weigh_lines(lines: list, readout: list, h: int) -> list[tuple[int, int]]:
+def _weigh_lines(lines: list, readout: dict, h: int, delta: int) -> list[tuple[int, int]]:
     """The plane's sums over its fixed points for i = 0..size at one degree,
     before the Grassmannian Euler factor, each as (numerator, denominator):
-    the line coefficients of ``_read_lines`` weighted by the readout terms
-    at that degree, sum c h^power per xi-degree."""
-    values = []
-    for (coefficients, common), (terms, denominator) in zip(lines, readout):
-        read: dict[int, int] = {}
-        for (x, power), c in terms.items():
-            read[x] = read.get(x, 0) + c * h**power
-        values.append((sum(w * coefficients[x] for x, w in read.items()), common * denominator))
-    return values
+    sum c h^(3 + x - delta) line[x] over the x each i reads, with the
+    readout weights c at that degree and the denominator of ``_read_lines``."""
+    weights = {x: c * h ** (3 + x - delta) for x, c in readout.items()}
+    return [
+        (sum(weights[x] * n for x, n in coefficients.items()), common)
+        for coefficients, common in lines
+    ]
 
 
 def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, int]]:
@@ -413,17 +407,17 @@ _FIXED_PLANE = 1
 def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: list) -> list:
     """The ``_plane_integrals`` arguments of the planes a call evaluates, at
     the degrees of ``readouts``, a list of (d, ``_readout_terms`` at d),
-    prepared once per call.
+    prepared once per call.  ``lines[i]`` holds the readout's xi-degrees
+    x <= delta + 2i, which are the same at every d.
 
-    In p3 these are V_0..V_3, each with its Grassmannian Euler factor.  In
-    p2 the incidence factor is H^3, the class of a point of the Grassmannian.
-    Its lift prod_{j != k} (H - h_j), the class of the plane V_k, differs
-    from H^3 only by terms of degree below the dimension, which integrate to
-    zero; it restricts to 0 at the other planes and to the Euler factor at
-    V_k.  So the integral is V_k's chart sum alone, read with H^(3 + t) as
-    h_k^t and no Euler division: one unit, k = _FIXED_PLANE.  (A line read
-    for t >= 1, only without the H^4 rule, integrates a class of degree
-    below 2i over the compact Hilb^i(V_k), so it is zero.)
+    In p3 these are V_0..V_3, each with its h and Grassmannian Euler factor.
+    In p2 the incidence factor is H^3, the class of a point of the
+    Grassmannian.  Its lift prod_{j != k} (H - h_j), the class of the plane
+    V_k, differs from H^3 only by terms of degree below the dimension, which
+    integrate to zero; it restricts to 0 at the other planes and to the
+    Euler factor at V_k.  So the integral is V_k's chart sum alone, its one
+    line read with H^3 as 1 and no Euler division: one unit,
+    k = _FIXED_PLANE, with h = 1 and Euler factor 1.
 
     Evaluating the tangent weights of the units' charts here is the one
     genericity check: a non-generic draw raises before any cell product and
@@ -439,29 +433,26 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
 
     if spec.mode == P3:
         # nonzero: each factor is a difference of two of the pairwise distinct values
-        planes = [(k, prod(value(w) for w in gr_tangent_weights(k)), readouts) for k in range(4)]
-    else:
-        # H^(3 + t) reads as h^t
-        shifted = [
-            (d, [({(x, p - 3): c for (x, p), c in t.items()}, den) for t, den in readout])
-            for d, readout in readouts
+        planes = [
+            (k, value(h_weight(k)), prod(value(w) for w in gr_tangent_weights(k)))
+            for k in range(4)
         ]
-        planes = [(_FIXED_PLANE, 1, shifted)]
+    else:
+        planes = [(_FIXED_PLANE, 1, 1)]
     exponents = _tangent_exponents(spec.i)
     cells = [(a, b) for a in range(spec.i) for b in range(spec.i // (a + 1))]
-    lines = [
-        sorted({x for _, readout in readouts for x, _ in readout[i][0]}) for i in range(spec.i + 1)
-    ]
+    xs = sorted(readouts[0][1])
+    lines = [[x for x in xs if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
     d0 = readouts[0][0]
     units = []
-    for k, euler, plane_readouts in planes:
+    for k, h, euler in planes:
         charts = []
         for m in plane_points(k):
             tangents = _chart_tangents(k, m, exponents, value)
             weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
             w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
             charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d, _ in readouts]))
-        units.append((charts, value(h_weight(k)), euler, spec.delta, lines, plane_readouts))
+        units.append((charts, h, euler, spec.delta, lines, readouts))
     return units
 
 
@@ -470,9 +461,9 @@ def _plane_integrals(
 ) -> list[list[Fraction]]:
     """Contributions of the fixed points on one plane to the integrals for
     i = 0..size at each degree of ``readouts``, given its three charts as
-    (tangent values, cell weights at d0, shift per degree), its h, its
-    Grassmannian Euler factor (1 in p2) and the xi-degrees ``lines[i]`` read
-    per i.
+    (tangent values, cell weights at d0, shift per degree), its h and
+    Grassmannian Euler factor (both 1 in p2) and the xi-degrees ``lines[i]``
+    read per i.
 
     The chern factors and chart series are computed once, the series at d0,
     and sheared to each degree by ``_shear``.  A chart that is sheared keeps
@@ -510,7 +501,7 @@ def _plane_integrals(
         raise ArithmeticError(f"a line coefficient is not of degree below {len(nodes)} in d")
     out = []
     for read, (_, readout) in zip(lines_at, readouts):
-        integrals = _weigh_lines(read, readout, h)
+        integrals = _weigh_lines(read, readout, h, delta)
         out.append([Fraction(num, denominator * euler) for num, denominator in integrals])
     return out
 
@@ -632,7 +623,8 @@ def nodal_counts(
     integral at every degree is recomputed under the first generic seeded
     draw that differs from the specialization used, and the two runs must
     agree exactly.  ``h4_rule`` toggles the H^4 = 0 pruning of the symbolic
-    representative; the counts must not depend on it.
+    representative, which acts on p3 readouts only; the counts must not
+    depend on it.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")

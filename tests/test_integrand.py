@@ -5,6 +5,7 @@ import pytest
 from severi.integrand import (
     IntegrandSpec,
     P2_FIXED,
+    _sym_chern_coeffs,
     bps_coefficients,
     general_binomial,
     genus,
@@ -119,6 +120,27 @@ def test_segre_coeffs_invert_chern():
         for t in range(1, 6):
             total = sum(c[j] * s[t - j] for j in range(0, min(3, t) + 1))
             assert total == 0
+
+
+def test_sym_chern_coeffs_follow_from_the_chern_roots_of_the_dual_plane_bundle():
+    # splitting principle: c(S^dual) = (1 + H)(1 + H^2) has Chern roots
+    # H * {1, i, -i}, so Sym^d S^dual has the roots (p + (q - r) i) H over
+    # p + q + r = d; their product of (1 + root), mod H^4, in exact
+    # Gaussian integers (pairs re, im)
+    for d in range(1, 61):
+        c = [(1, 0), (0, 0), (0, 0), (0, 0)]
+        for p in range(d + 1):
+            for q in range(d - p + 1):
+                a, b = p, 2 * q + p - d  # q - r with r = d - p - q
+                c = [c[0]] + [
+                    (re + a * lre - b * lim, im + a * lim + b * lre)
+                    for (re, im), (lre, lim) in zip(c[1:], c[:-1])
+                ]
+        assert all(im == 0 for _, im in c), d
+        coeffs = _sym_chern_coeffs(d)
+        assert coeffs == tuple(re for re, _ in c), d
+        assert all(type(v) is int for v in coeffs), d
+        assert all(type(v) is int for v in segre_coeffs(d, 9)), d
 
 
 def test_integrand_spec_validation():

@@ -452,12 +452,32 @@ def test_fixed_plane_integrals_at_shuffled_degrees_equal_on_every_plane(monkeypa
         assert integrate(s, SP, h4_rule=h4_rule, degrees=degrees).by_degree == fixed, k
 
 
+def test_readout_weights_are_one_integer_per_xi_degree():
+    # p3 reads x = delta + t - s, weight sum c_s rho_t, for every x <= delta
+    # + 2i; the H^4 rule is the truncation x <= delta; p2 reads x = delta
+    for delta in range(7):
+        for d in range(delta + 1, delta + 9):
+            s = IntegrandSpec(i=delta, delta=delta, d=d)
+            full = localization._readout_terms(s, False)
+            assert sorted(full) == list(range(max(0, delta - 3), 3 * delta + 1))
+            assert all(type(c) is int for c in full.values())
+            ruled = {x: c for x, c in full.items() if x <= delta}
+            assert localization._readout_terms(s, True) == ruled
+            if s.n >= 6:
+                for h4_rule in (True, False):
+                    p2 = replace(s, mode=P2_FIXED)
+                    assert localization._readout_terms(p2, h4_rule) == {delta: 1}
+
+
 def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
-    # without the H^4 rule a p2 readout also reads H^(3 + t), t >= 1, as h^t
-    # times the line at xi-degree delta + t; that line is the integral of a
-    # class of degree 2i - t over the compact fibre Hilb^i(V_k), so it is
-    # zero, and the unit's h enters no p2 value
+    # a p2 readout reads the line at xi-degree delta alone; a line at
+    # delta + t, t >= 1, would stand for H^(3 + t), the integral of a class
+    # of degree 2i - t over the compact fibre Hilb^i(V_k), so it is zero.
+    # Asked for every such line, each plane's unit reads them all as zero.
     s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
+    sp = Specialization((Fraction(1, 2), 3, Fraction(7, 3), 5))
+    every = {x: 1 for x in range(s.delta, s.delta + 2 * s.i + 1)}
+    expected = [list(integrate(s, sp, h4_rule=False).values)]
     read = []
     read_lines = localization._read_lines
     monkeypatch.setattr(
@@ -465,7 +485,8 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     )
     for k in range(4):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        integrate(s, Specialization((Fraction(1, 2), 3, Fraction(7, 3), 5)), h4_rule=False)
+        (unit,) = localization._plane_units(s, sp, [(s.d, every)])
+        assert _plane_integrals(*unit) == expected, k
     assert len(read) == 4
     for lines in read:
         assert [sorted(line) for line, _ in lines] == [
@@ -540,8 +561,7 @@ def test_top_size_pair_products_are_asked_for_the_top_line_alone(monkeypatch):
 def t_degree_bound(spec: IntegrandSpec, h4_rule: bool) -> int:
     """E: one more than the largest eps-degree a readout of ``spec`` takes
     from the three-chart product, which bounds the degree in d - d0."""
-    readout = localization._readout_terms(spec, h4_rule)
-    return 1 + max(spec.delta + 2 * i - x for i, (terms, _) in enumerate(readout) for x, _ in terms)
+    return 1 + spec.delta + 2 * spec.i - min(localization._readout_terms(spec, h4_rule))
 
 
 # ten degrees in shuffled order, some below the first; with E = 7 for both,

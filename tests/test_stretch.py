@@ -1,14 +1,19 @@
 """Stretch validation beyond the acceptance targets.
 
-The delta=6 spot values (about 0.1 s each) and the delta=5 polynomial
-reconstruction (about 0.4 s), timed on 2 cores, run in every test run.
+The delta=6 spot values (about 0.1 s each), the delta=5 polynomial
+reconstruction (about 0.4 s) and Goettsche's check of the fixed-plane
+polynomials for delta <= 8 (about 1 s), timed on 2 cores, run in every test
+run.
 """
 
 import pytest
 from helpers import ORDERED_REFERENCE, factorial
 
+from severi.integrand import P2_FIXED
 from severi.localization import count_nodal, default_jobs
 from severi.node_polys import node_polynomial
+from severi.oracles import goettsche_p2_check
+from severi.unipoly import UniPoly
 
 
 def test_delta5_polynomial_matches_reference():
@@ -20,3 +25,13 @@ def test_delta5_polynomial_matches_reference():
 def test_delta6_spot_values(d):
     expected = ORDERED_REFERENCE[6](d) / factorial(6)
     assert count_nodal(6, d, jobs=default_jobs()) == expected
+
+
+def test_fixed_plane_polynomials_to_delta8_meet_goettsches_divisor_sum_series():
+    # the d^2 part of log sum_k T_k(d) x^k at x = DG2(q) is 1/2 log(DG2/q)
+    # up to q^8; adding 1 to the d^2 coefficient of T_8 breaks it at q^8
+    polys = [node_polynomial(delta, P2_FIXED).polynomial for delta in range(9)]
+    assert goettsche_p2_check(polys)
+    coeffs = list(polys[8].coeffs)
+    coeffs[2] += 1
+    assert not goettsche_p2_check(polys[:8] + [UniPoly(coeffs)])
