@@ -11,8 +11,10 @@ that over-determine them.  Two independent fixture families are checked:
     maximal number of general lines must match, for d = 1..5, the reference
     values of the degree-zero count polynomial.
 
-Every command-line entry point runs this gate (it takes well under a
-second) before reporting any localization result.
+A fixture whose computation raises ArithmeticError, as the localization
+does when a plane's Grassmannian Euler factor breaks its convention, fails
+the gate too.  Every command-line entry point runs this gate (it takes well
+under a second) before reporting any localization result.
 """
 
 from __future__ import annotations
@@ -76,7 +78,11 @@ def ensure_calibrated(seed: int = 0) -> None:
     global _calibrated
     if _calibrated:
         return
-    for check in run_calibration(seed):
+    try:
+        checks = run_calibration(seed)
+    except ArithmeticError as exc:
+        raise CalibrationError(f"calibration failed: {exc}") from exc
+    for check in checks:
         if not check.ok:
             raise CalibrationError(
                 f"calibration fixture {check.name} failed: "

@@ -23,10 +23,12 @@ series, q counting partition size.  Cohomological degree exactly
 on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
 to zero and higher ones are cut by the degree cap.  The one at xi-degree x
 is weighted by an integer (incidence terms times Segre coefficients) and
-H^(3 + x - delta), with x <= delta under the H^4 rule, divided by the
-Grassmannian Euler factor and summed over the four planes.  In the
-fixed-plane mode (p2) the point class H^3 reads the line x = delta alone,
-of one plane's chart sum, with no Euler division (see ``_plane_units``).
+H^p, p = 3 + x - delta, with x <= delta under the H^4 rule, divided by the
+Grassmannian Euler factor and summed over the planes.  For p <= 3, H^p is
+lifted to the class of a coordinate subspace, which restricts to 0 on p of
+the planes, so each plane reads only some of the lines; the fixed-plane
+mode (p2) reads H^3 on the line x = delta, so one plane alone (see
+``_plane_units``).
 
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i, size, it
@@ -65,16 +67,19 @@ calls.
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
 changes nothing.  Each call evaluates the tangent weights of the charts
-it reads once, before any plane unit runs: all twelve in p3, the fixed
-plane's three in p2.  A vanishing one raises ``NonGenericSpecialization``,
-and a count moves on to another specialization only if the caller gave none
-(see ``nodal_counts``).  Planes are independent work units, each given only
-its own three charts, and the optional process pool evaluates the four p3
-units in parallel; exact sums make any order give the identical result.
+it reads once, before any plane unit runs: all twelve in p3 from delta = 3
+on, the fixed plane's three in p2.  A vanishing one raises
+``NonGenericSpecialization``, and a count moves on to another
+specialization only if the caller gave none (see ``nodal_counts``).  Planes
+are independent work units, each given only its own three charts, and the
+optional process pool evaluates the p3 units in parallel when the call's
+work clears a fixed bound (see ``integrate``); exact sums make any order
+give the identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
-for i = 0..delta with the unitriangular-inverse weights; the combination is
-always an integer and that is asserted, never rounded.
+for i = 0..delta with the unitriangular-inverse weights, summed as integers
+over one common denominator; the combination is always an integer and that
+is asserted, never rounded.
 """
 
 from __future__ import annotations
@@ -104,7 +109,9 @@ from .weights import (
 class IntegralResult:
     """What ``integrate`` returns.  ``fixed_point_count`` is the number of
     torus-fixed points of the length-i Hilbert scheme at the largest i,
-    over all four planes; a p2 call evaluates one plane's share of them."""
+    over all four planes, though a call evaluates only the planes that read
+    some line (see ``_plane_units``): fewer than four in p3 for
+    delta <= 2, one in p2."""
 
     value: Fraction
     values: tuple[Fraction, ...]
@@ -359,18 +366,6 @@ def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, i
     return out
 
 
-def _weigh_lines(lines: list, readout: dict, h: int, delta: int) -> list[tuple[int, int]]:
-    """The plane's sums over its fixed points for i = 0..size at one degree,
-    before the Grassmannian Euler factor, each as (numerator, denominator):
-    sum c h^(3 + x - delta) line[x] over the x each i reads, with the
-    readout weights c at that degree and the denominator of ``_read_lines``."""
-    weights = {x: c * h ** (3 + x - delta) for x, c in readout.items()}
-    return [
-        (sum(weights[x] * n for x, n in coefficients.items()), common)
-        for coefficients, common in lines
-    ]
-
-
 def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, int]]:
     """The line coefficients at t, from their values ``direct`` at ``nodes``
     (each as ``_read_lines`` returns them), by exact Lagrange interpolation
@@ -400,24 +395,36 @@ def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, in
 
 
 # the plane whose fixed points carry a fixed-plane (p2) integral; it holds
-# P_0, whose chart has slope 0
+# P_0, whose chart has slope 0, and it comes first in the lift order
 _FIXED_PLANE = 1
 
 
 def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: list) -> list:
     """The ``_plane_integrals`` arguments of the planes a call evaluates, at
     the degrees of ``readouts``, a list of (d, ``_readout_terms`` at d),
-    prepared once per call.  ``lines[i]`` holds the readout's xi-degrees
-    x <= delta + 2i, which are the same at every d.
+    prepared once per call, with each plane's lifted H-powers folded into
+    its readout weights.  ``lines[i]`` holds the xi-degrees x <= delta + 2i
+    the plane reads, which are the same at every d.
 
-    In p3 these are V_0..V_3, each with its h and Grassmannian Euler factor.
-    In p2 the incidence factor is H^3, the class of a point of the
-    Grassmannian.  Its lift prod_{j != k} (H - h_j), the class of the plane
-    V_k, differs from H^3 only by terms of degree below the dimension, which
-    integrate to zero; it restricts to 0 at the other planes and to the
-    Euler factor at V_k.  So the integral is V_k's chart sum alone, its one
-    line read with H^3 as 1 and no Euler division: one unit,
-    k = _FIXED_PLANE, with h = 1 and Euler factor 1.
+    The line x is read with H^p, p = 3 + x - delta.  For p <= 3 the readout
+    lifts H^p to prod_{j in J_p} (H - h_j), the class of a coordinate
+    subspace, where J_p is the last p planes of the lift order: _FIXED_PLANE,
+    then the others.  The two differ by terms H^q, q < p, with coefficients
+    in the h_j, and H^q times the line's class has degree below the
+    dimension, so it integrates to zero: sum_k h_k^q L_k(i, x) / e_k = 0.
+    The lift restricts to 0 at the planes of J_p, so plane k reads the line
+    only if k is not in J_p, weighed by c_x prod_{j in J_p} (h_k - h_j) over
+    its Grassmannian Euler factor e_k.  The weights rest on
+    e_k = prod_{j != k} (h_k - h_j), so an Euler factor that breaks it
+    raises ArithmeticError.  The first plane of the order reads x <= delta,
+    the next x <= delta - 1, the next x <= delta - 2 and the last
+    x = delta - 3 alone; a plane left with no line (delta <= 2) is not
+    evaluated.  With the H^4 rule off, the lines with p >= 4 keep h_k^p at
+    all four planes.
+
+    In p2 the incidence class H^3 is the class of a point, and the readout
+    {delta: 1} reads one line, at p = 3: the lift's one-plane case, the
+    fixed plane alone, weighed by e_k / e_k = 1.
 
     Evaluating the tangent weights of the units' charts here is the one
     genericity check: a non-generic draw raises before any cell product and
@@ -431,39 +438,48 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
     def value(char) -> int:
         return sum(map(mul, char, scaled))
 
-    if spec.mode == P3:
-        # nonzero: each factor is a difference of two of the pairwise distinct values
-        planes = [
-            (k, value(h_weight(k)), prod(value(w) for w in gr_tangent_weights(k)))
-            for k in range(4)
-        ]
-    else:
-        planes = [(_FIXED_PLANE, 1, 1)]
+    h = [value(h_weight(k)) for k in range(4)]
+    # the lift order: J_p is its last p planes
+    order = [_FIXED_PLANE] + [k for k in (0, 2, 3, 1) if k != _FIXED_PLANE]
     exponents = _tangent_exponents(spec.i)
     cells = [(a, b) for a in range(spec.i) for b in range(spec.i // (a + 1))]
-    xs = sorted(readouts[0][1])
-    lines = [[x for x in xs if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
     d0 = readouts[0][0]
     units = []
-    for k, h, euler in planes:
+    for r, k in enumerate(order):
+        # nonzero: each factor is a difference of two of the pairwise distinct values
+        euler = prod(value(w) for w in gr_tangent_weights(k))
+        if euler != prod(h[k] - h[j] for j in range(4) if j != k):
+            raise ArithmeticError(f"convention fault: the Euler factor of V_{k} is {euler}")
+        lifted = {}
+        for x in sorted(readouts[0][1]):
+            p = 3 + x - spec.delta
+            if p >= 4:
+                lifted[x] = h[k] ** p
+            elif p <= 3 - r:  # k is not among the last p planes of the order
+                lifted[x] = prod(h[k] - h[j] for j in order[4 - p :])
+        if not lifted:
+            continue
+        lines = [[x for x in lifted if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
         charts = []
         for m in plane_points(k):
             tangents = _chart_tangents(k, m, exponents, value)
             weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
             w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
             charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d, _ in readouts]))
-        units.append((charts, h, euler, spec.delta, lines, readouts))
+        weighed = [(d, {x: c * readout[x] for x, c in lifted.items()}) for d, readout in readouts]
+        units.append((charts, euler, spec.delta, lines, weighed))
     return units
 
 
 def _plane_integrals(
-    charts: list, h: int, euler: int, delta: int, lines: list, readouts: list
+    charts: list, euler: int, delta: int, lines: list, readouts: list
 ) -> list[list[Fraction]]:
     """Contributions of the fixed points on one plane to the integrals for
     i = 0..size at each degree of ``readouts``, given its three charts as
-    (tangent values, cell weights at d0, shift per degree), its h and
-    Grassmannian Euler factor (both 1 in p2) and the xi-degrees ``lines[i]``
-    read per i.
+    (tangent values, cell weights at d0, shift per degree), its Grassmannian
+    Euler factor, the xi-degrees ``lines[i]`` read per i, and the plane's
+    readout weights per degree, lifted H-powers included (see
+    ``_plane_units``).
 
     The chern factors and chart series are computed once, the series at d0,
     and sheared to each degree by ``_shear``.  A chart that is sheared keeps
@@ -499,11 +515,21 @@ def _plane_integrals(
     lines_at = first + [_interpolated(first, nodes, d - d0) for d, _ in readouts[len(nodes) :]]
     if len(lines_at) > len(nodes) and direct(len(lines_at) - 1) != lines_at[-1]:
         raise ArithmeticError(f"a line coefficient is not of degree below {len(nodes)} in d")
-    out = []
-    for read, (_, readout) in zip(lines_at, readouts):
-        integrals = _weigh_lines(read, readout, h, delta)
-        out.append([Fraction(num, denominator * euler) for num, denominator in integrals])
-    return out
+    return [
+        [
+            Fraction(sum(readout[x] * n for x, n in coefficients.items()), common * euler)
+            for coefficients, common in read
+        ]
+        for read, (_, readout) in zip(lines_at, readouts)
+    ]
+
+
+# the work estimate of ``integrate`` (fixed points at spec.i times direct
+# degrees) from which a call with jobs > 1 starts a process pool.  Measured
+# interleaved on 2 cores, the pool lost at the p3 delta = 3 polynomial (968),
+# was within noise at count(6,4) (884), count(7,5) (1,716) and the
+# delta = 4 polynomial (2,652), and saved 30-40% from count(8,5) (3,240) on.
+_POOL_WORK = 2000
 
 
 def integrate(
@@ -524,8 +550,9 @@ def integrate(
     ``fixed_point_count`` counts the fixed points at spec.i over all four
     planes.  One call evaluates everything a count, or the samples of a
     node polynomial, need.  The plane-independent work is done once
-    (``_plane_units``), which gives one unit per plane evaluated: V_0..V_3
-    in p3, the fixed plane alone in p2.  Each unit then builds its three
+    (``_plane_units``), which gives one unit per plane evaluated: the planes
+    that read some line under the lifted readout, all four in p3 from
+    delta = 3 on, the fixed plane alone in p2.  Each unit then builds its three
     chart series at the first degree and shears them to the first E degrees
     and the last (``_plane_integrals``), and the other degrees are
     interpolated, so a call with at most E + 1 degrees, a count among them,
@@ -533,9 +560,12 @@ def integrate(
 
     Raises NonGenericSpecialization, before any plane unit runs, if a
     tangent weight at some size <= spec.i vanishes at a chart of a unit.
-    With ``jobs`` > 1, at least 64 fixed points at spec.i and more than one
-    unit (so in p3 alone) the units go to one process pool of at most four
-    workers; p2 runs serially.
+    With ``jobs`` > 1, more than one unit (so in p3 alone) and an estimate
+    of the work, the fixed points at spec.i times the direct degrees, of at
+    least ``_POOL_WORK``, the units go to one process pool with at most one
+    worker per unit; otherwise, p2 always, they run serially.  The estimate
+    depends on the spec and the degrees alone, so whether a pool starts is
+    the same on every run.
     """
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
@@ -544,13 +574,16 @@ def integrate(
     points = fixed_point_count(spec.i)
     units = _plane_units(spec, specialization, readouts)
     args = tuple(zip(*units))
-    if jobs <= 1 or points < 64 or len(units) == 1:
+    # E as in _plane_integrals: the first E degrees and the last are direct
+    e = 1 + spec.delta + 2 * spec.i - min(readouts[0][1])
+    work = points * (min(len(degrees), e) + (len(degrees) > e))
+    if jobs <= 1 or len(units) == 1 or work < _POOL_WORK:
         parts = list(map(_plane_integrals, *args))
     else:
         # looked up on the module, so that a wrapper bound there (the
         # benchmark's tracer binds one) is the pool that runs; a worker
-        # beyond the four plane units would only be forked to idle
-        with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(jobs, 4)) as pool:
+        # beyond the plane units would only be forked to idle
+        with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             parts = list(pool.map(_plane_integrals, *args))
     by_degree = {
         d: tuple(sum(column, Fraction(0)) for column in zip(*per_plane))
@@ -648,10 +681,19 @@ def nodal_counts(
                     )
     counts = []
     for d in ds:
-        total = sum(map(mul, bps_coefficients(delta, genus(d)), result.by_degree[d]), Fraction(0))
-        if total.denominator != 1:
-            raise ArithmeticError(f"convention or arithmetic fault: non-integer count {total}")
-        counts.append(total.numerator)
+        # one integer sum over the integrals' common denominator
+        integrals = result.by_degree[d]
+        common = lcm(*(v.denominator for v in integrals))
+        total = sum(
+            a * v.numerator * (common // v.denominator)
+            for a, v in zip(bps_coefficients(delta, genus(d)), integrals)
+        )
+        count, rest = divmod(total, common)
+        if rest:
+            raise ArithmeticError(
+                f"convention or arithmetic fault: non-integer count {Fraction(total, common)}"
+            )
+        counts.append(count)
     return Counts(tuple(counts), used)
 
 

@@ -13,9 +13,9 @@ regime where the count is known to be polynomial.
 For the fixed-plane variant the count is a polynomial of degree 2*delta
 (Kleiman-Piene; Kool-Shende-Thomas), which is asserted on the same
 interpolant; the same window is used and stability is checked the same way.
-Its samples are one plane's chart sums (see ``localization._plane_units``),
-so they take about a quarter of the time of the four-plane sum and run
-serially whatever ``jobs`` is.  ``oracles.goettsche_p2_check`` checks these
+Its samples are one plane's chart sums, the one-plane case of the lifted
+readout (see ``localization._plane_units``), so they run serially whatever
+``jobs`` is.  ``oracles.goettsche_p2_check`` checks these
 polynomials against Goettsche's generating function, independently of the
 localization.
 

@@ -76,14 +76,6 @@ def arms_legs(mu) -> dict[tuple[int, int], tuple[int, int]]:
     }
 
 
-def arm_leg(mu, cell: tuple[int, int]) -> tuple[int, int]:
-    """Arm and leg counts of a cell; the cell must lie in the diagram."""
-    try:
-        return arms_legs(mu)[tuple(cell)]
-    except KeyError:
-        raise ValueError(f"cell {cell} outside diagram {mu}") from None
-
-
 def plane_points(plane: int) -> tuple[int, int, int]:
     """Coordinate indices of the three torus-fixed points of the plane V_plane.
 

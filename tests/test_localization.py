@@ -1,7 +1,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
-from math import lcm
+from math import lcm, prod
 
 import pytest
 from helpers import reference_count
@@ -11,7 +11,14 @@ from severi.integrand import IntegrandSpec, P2_FIXED, P3
 from severi.localization import _plane_integrals, count_nodal, integrate, nodal_counts
 from severi.partitions import enumerate_fixed_points, partitions, plane_points
 from severi.reference import _compile_terms, _reference_integral, _sum_over_points, build_integrand
-from severi.weights import NonGenericSpecialization, Specialization, taut_cell_weight
+from severi.node_polys import valid_degrees
+from severi.weights import (
+    NonGenericSpecialization,
+    Specialization,
+    gr_tangent_weights,
+    h_weight,
+    taut_cell_weight,
+)
 
 SP = Specialization.default()
 # makes a Hilbert tangent weight vanish at i = 3, at a chart of some plane
@@ -153,7 +160,8 @@ def test_no_generic_draw_raises_naming_every_candidate(monkeypatch):
 
 
 def test_process_pool_is_capped_at_the_four_plane_units(monkeypatch):
-    # a worker beyond the four plane units would be forked only to idle
+    # a worker beyond the plane units would be forked only to idle; the work
+    # gate is opened, so that these small calls ask for a pool at all
     asked = []
 
     class SerialPool:
@@ -171,11 +179,48 @@ def test_process_pool_is_capped_at_the_four_plane_units(monkeypatch):
 
     # set on the module itself, where integrate looks the pool up
     monkeypatch.setitem(vars(localization), "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(localization, "_POOL_WORK", 0)
     s = IntegrandSpec(i=3, delta=3, d=4)
     serial = integrate(s, SP).values
     assert integrate(s, SP, jobs=64).values == serial
     assert integrate(s, SP, jobs=3).values == serial
-    assert asked == [4, 3]
+    # at delta = 2 the last plane of the lift order reads no line
+    shallow = IntegrandSpec(i=2, delta=2, d=4)
+    assert integrate(shallow, SP, jobs=64).values == integrate(shallow, SP).values
+    assert asked == [4, 3, 3]
+
+
+def pool_stub(monkeypatch) -> tuple:
+    """The max_workers of every process pool ``integrate`` asks for from now
+    on, and the exception that asking raises."""
+    asked = []
+
+    class Refused(Exception):
+        pass
+
+    def stub(max_workers):
+        asked.append(max_workers)
+        raise Refused
+
+    monkeypatch.setitem(vars(localization), "ProcessPoolExecutor", stub)
+    return asked, Refused
+
+
+def test_counts_below_the_work_gate_start_no_pool(monkeypatch):
+    # count(6, 4): 884 fixed points at one degree, below the gate
+    asked, _ = pool_stub(monkeypatch)
+    assert count_nodal(6, 4, jobs=2) == count_nodal(6, 4)
+    assert asked == []
+
+
+def test_a_call_the_size_of_the_delta8_polynomial_asks_for_a_pool(monkeypatch):
+    # the p3 delta = 8 polynomial: 3,240 fixed points at 21 direct degrees
+    asked, refused = pool_stub(monkeypatch)
+    ds = valid_degrees(8, P3, 28)
+    s = IntegrandSpec(i=8, delta=8, d=ds[0])
+    with pytest.raises(refused):
+        integrate(s, SP, degrees=ds, jobs=2)
+    assert asked == [2]
 
 
 def test_default_specialization_is_generic_up_to_i17_not_i18():
@@ -345,6 +390,22 @@ def test_verify_compares_every_degree_and_i(monkeypatch):
         nodal_counts(2, (3, 4, 5), verify=True)
 
 
+def test_a_non_integer_count_raises(monkeypatch):
+    # the BPS combination is summed over one denominator; a third added to
+    # the top integral, whose weight is 1, leaves a remainder at that degree
+    real = localization.integrate
+
+    def perturbed(spec, specialization, **kw):
+        res = real(spec, specialization, **kw)
+        res.by_degree[4] = res.by_degree[4][:-1] + (res.by_degree[4][-1] + Fraction(1, 3),)
+        return res
+
+    assert nodal_counts(2, (3, 4)).values == (15660, reference_count(2, 4))
+    monkeypatch.setattr(localization, "integrate", perturbed)
+    with pytest.raises(ArithmeticError, match="non-integer count"):
+        nodal_counts(2, (3, 4))
+
+
 def test_non_generic_plane_units_raise_before_any_cell_product(monkeypatch):
     # NON_GENERIC makes a Hilbert tangent weight vanish at i=3, at a chart of
     # some plane; integrate must notice before any plane unit or pool starts
@@ -473,7 +534,8 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     # a p2 readout reads the line at xi-degree delta alone; a line at
     # delta + t, t >= 1, would stand for H^(3 + t), the integral of a class
     # of degree 2i - t over the compact fibre Hilb^i(V_k), so it is zero.
-    # Asked for every such line, each plane's unit reads them all as zero.
+    # Asked for every such line, the fixed plane reads them all and, as
+    # H^(3 + t) is not lifted, so does every other plane: all read zero.
     s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
     sp = Specialization((Fraction(1, 2), 3, Fraction(7, 3), 5))
     every = {x: 1 for x in range(s.delta, s.delta + 2 * s.i + 1)}
@@ -485,15 +547,96 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     )
     for k in range(4):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        (unit,) = localization._plane_units(s, sp, [(s.d, every)])
-        assert _plane_integrals(*unit) == expected, k
-    assert len(read) == 4
-    for lines in read:
+        units = localization._plane_units(s, sp, [(s.d, every)])
+        assert len(units) == 4, k
+        per_plane = [_plane_integrals(*unit)[0] for unit in units]
+        assert [[sum(column, Fraction(0)) for column in zip(*per_plane)]] == expected, k
+    assert len(read) == 16
+    for n, lines in enumerate(read):
+        first = s.delta if n % 4 == 0 else s.delta + 1  # the fixed plane's unit comes first
         assert [sorted(line) for line, _ in lines] == [
-            list(range(s.delta, s.delta + 2 * i + 1)) for i in range(s.i + 1)
+            list(range(first, s.delta + 2 * i + 1)) for i in range(s.i + 1)
         ]
         assert all(c == 0 for line, _ in lines for x, c in line.items() if x > s.delta)
+    for lines in read[::4]:
         assert any(line[s.delta] for line, _ in lines)
+
+
+def unlifted_planes(spec: IntegrandSpec, sp: Specialization) -> list:
+    """Per plane V_k: its h_k, its Grassmannian Euler factor e_k and its
+    lines L_k(i, x) at spec.d for i = 0..spec.i and every x <= delta + 2i,
+    from its three chart series, with no readout and no lift."""
+    scale = lcm(*(v.denominator for v in sp.values))
+    scaled = [(v * scale).numerator for v in sp.values]
+
+    def value(char):
+        return sum(c * v for c, v in zip(char, scaled))
+
+    size, delta = spec.i, spec.delta
+    top = delta + 2 * size
+    exponents = localization._tangent_exponents(size)
+    cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
+    every = [list(range(delta + 2 * i + 1)) for i in range(size + 1)]
+    planes = []
+    for k in range(4):
+        charts = []
+        for m in plane_points(k):
+            tangents = localization._chart_tangents(k, m, exponents, value)
+            factors = localization._chern_factors(tangents, size)
+            weights = {cell: value(taut_cell_weight(k, m, cell, spec.d)) for cell in cells}
+            charts.append(localization._chart_series(weights, factors, top + 1, top + 1, top))
+        lines = [
+            {x: Fraction(n, common) for x, n in coefficients.items()}
+            for coefficients, common in localization._read_lines(charts, every, delta, top)
+        ]
+        euler = prod(value(w) for w in gr_tangent_weights(k))
+        planes.append((value(h_weight(k)), euler, lines))
+    return planes
+
+
+def plane_sums(planes: list, delta: int) -> list:
+    """sum_k h_k^q L_k(i, x) / e_k for every line and every q <= 2 + x - delta:
+    H^q times the line's class has degree below the dimension."""
+    return [
+        sum(h**q * lines[i][x] / euler for h, euler, lines in planes)
+        for i in range(len(planes[0][2]))
+        for x in range(delta + 2 * i + 1)
+        for q in range(3 + x - delta)
+    ]
+
+
+@pytest.mark.parametrize("sp", [SP, Specialization.from_seed(11)], ids=["default", "seeded"])
+def test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integral(sp):
+    # the identities that let H^p, p <= 3, be read on the planes outside J_p
+    # alone; every plane's every line is built, which the lifted readout no
+    # longer does, so they are checked here and not at run time
+    for delta in range(3, 7):
+        spec = IntegrandSpec(i=delta, delta=delta, d=delta + 2)
+        planes = unlifted_planes(spec, sp)
+        sums = plane_sums(planes, delta)
+        assert len(sums) == sum((2 * i + 3) * (2 * i + 4) // 2 for i in range(delta + 1))
+        assert not any(sums), delta
+        # one plane's h one more breaks them
+        (h, euler, lines), *rest = planes
+        assert any(plane_sums([(h + 1, euler, lines), *rest], delta)), delta
+        for h4_rule in (True, False):
+            readout = localization._readout_terms(spec, h4_rule)
+            unlifted = [
+                sum(
+                    c * h ** (3 + x - delta) * lines[i][x] / euler
+                    for h, euler, lines in planes
+                    for x, c in readout.items()
+                    if x <= delta + 2 * i
+                )
+                for i in range(spec.i + 1)
+            ]
+            assert list(integrate(spec, sp, h4_rule=h4_rule).values) == unlifted, (delta, h4_rule)
+        # p2 reads H^3 on the line x = delta, lifted to the fixed plane alone
+        p2 = integrate(replace(spec, mode=P2_FIXED), sp).values
+        assert list(p2) == [
+            sum(h**3 * lines[i][delta] / euler for h, euler, lines in planes)
+            for i in range(spec.i + 1)
+        ]
 
 
 def test_non_generic_raises_where_the_reference_does():
@@ -529,8 +672,12 @@ def test_top_size_entries_are_kept_on_the_read_line_alone(monkeypatch):
 
     for name, out in seen.items():
         for series in out:
-            assert degrees(series[size][0]) == {top}, name
-            assert min(degrees(series[size - 1][0])) < top - 1, name
+            assert degrees(series[size][0]) <= {top}, name
+            # the last plane of the lift order reads the row x = 0 alone,
+            # where the size-size entry of its unsheared chart is zero
+            if len(series[size][0]) > 1:
+                assert degrees(series[size][0]) == {top}, name
+                assert min(degrees(series[size - 1][0])) < top - 1, name
     assert res.by_degree[5] == integrate(replace(s, d=5), SP).values
 
 
@@ -598,12 +745,13 @@ def test_only_the_first_E_degrees_and_the_last_are_sheared(monkeypatch):
     monkeypatch.setattr(
         localization, "_shear", lambda series, c, *rest: shifts.append(c) or shear(series, c, *rest)
     )
+    planes = 3  # at delta = 2 the last plane of the lift order reads no line
     for n in (3, bound, bound + 1, bound + 3):
         shifts.clear()
         integrate(spec, SP, degrees=range(3, 3 + n))
         direct = list(range(min(n, bound))) + ([n - 1] if n > bound else [])
-        assert len(shifts) == 4 * len(direct) * 3
-        for k in range(4):
+        assert len(shifts) == planes * len(direct) * 3
+        for k in range(planes):
             for m in range(3):
                 seen = shifts[k * len(direct) * 3 + m :: 3][: len(direct)]
                 assert seen == [t * seen[1] for t in direct], (n, k, m)

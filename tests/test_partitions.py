@@ -7,7 +7,7 @@ import severi.weights
 from severi.oracles import hom_tangent_exponents
 from severi.partitions import (
     FixedPoint,
-    arm_leg,
+    arms_legs,
     cells,
     check_partition,
     conjugate,
@@ -59,12 +59,13 @@ def test_cells():
     assert cells((3,)) == [(0, 0), (1, 0), (2, 0)]
 
 
-def test_arm_leg():
-    assert arm_leg((1,), (0, 0)) == (0, 0)
-    assert arm_leg((2,), (0, 0)) == (1, 0)
-    assert arm_leg((2, 2), (0, 0)) == (1, 1)
-    with pytest.raises(ValueError, match="outside diagram"):
-        arm_leg((2,), (2, 0))
+def test_arms_legs():
+    assert arms_legs((1,)) == {(0, 0): (0, 0)}
+    assert arms_legs((2,)) == {(0, 0): (1, 0), (1, 0): (0, 0)}
+    assert arms_legs((2, 2))[(0, 0)] == (1, 1)
+    assert list(arms_legs((2, 1))) == cells((2, 1))
+    with pytest.raises(ValueError):
+        arms_legs((1, 2))
 
 
 def test_fixed_point_counts():
@@ -107,12 +108,11 @@ def test_cells_and_armleg_reconstruct_partition(n):
         # arms along the bottom row reconstruct the first part, legs in the
         # first column reconstruct the number of parts
         if mu:
-            arm0, leg0 = arm_leg(mu, (0, 0))
+            arms = arms_legs(mu)
+            arm0, leg0 = arms[0, 0]
             assert arm0 + 1 == mu[0]
             assert leg0 + 1 == len(mu)
-            rebuilt = tuple(
-                arm_leg(mu, (0, b))[0] + 1 for b in range(len(mu))
-            )
+            rebuilt = tuple(arms[0, b][0] + 1 for b in range(len(mu)))
             assert rebuilt == mu
         # conjugation is an involution matching transposed cells
         assert sorted((b, a) for a, b in cs) == sorted(cells(conjugate(mu)))
