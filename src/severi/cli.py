@@ -28,7 +28,7 @@ from .calibrate import CalibrationError, ensure_calibrated, run_calibration
 from .crosscheck import reducible_count
 from .integrand import P2_FIXED, P3, IntegrandSpec
 from .localization import count_nodal, nodal_counts
-from .node_polys import default_cache_dir, load, node_polynomial_cached
+from .node_polys import cached_deltas, default_cache_dir, load, node_polynomial_cached
 from .partitions import fixed_point_count
 from .weights import NonGenericSpecialization, Specialization
 
@@ -246,7 +246,7 @@ def cmd_table(args) -> int:
     cache_dir = args.cache_dir or default_cache_dir()
     rows = []
     for mode in (P3, P2_FIXED):
-        for delta in range(0, 16):
+        for delta in cached_deltas(mode, cache_dir):
             rec = load(delta, mode, cache_dir)
             if rec is not None:
                 rows.append(

@@ -14,14 +14,14 @@ The nu classes are computed here directly in the Chow ring
 with no localization anywhere: the delta = 0 classes push forward powers of
 the incidence divisor class d*H + xi, and the delta = 1 classes multiply in
 the discriminant class obtained from the simultaneous vanishing of a degree
-d form and its relative differential.  Everything in this module is an
-integer computation on tiny polynomials.
+d form and its relative differential.  Both relations are monic with
+integer coefficients, so everything in this module is an integer
+computation on tiny polynomials, with no division.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import comb, factorial
 
 from .integrand import _sym_chern_coeffs, genus
@@ -56,170 +56,80 @@ def _min_lines(d: int, delta: int) -> int:
 
 # -- tiny Chow-ring helpers ------------------------------------------------
 #
-# An H-vector is a length-4 list of Fractions (coefficients of H^0..H^3);
-# classes on the universal plane or the curve space are dicts keyed by the
-# eta- or xi-exponent with H-vector values.
+# A class is a dict {(h, e, x): int} standing for the sum of int * H^h eta^e
+# xi^x, with no zero values.  Products drop H^4; eta (slot 1) and xi (slot 2)
+# are rewritten by their relations only when asked.
 
 
-def _hvec_mul(a, b):
-    out = [Fraction(0)] * 4
-    for i, ai in enumerate(a):
-        if ai == 0:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > 3 or bj == 0:
-                continue
-            out[i + j] += ai * bj
-    return out
-
-
-def _poly_mul(p, q):
+def _add(*classes):
     out: dict = {}
-    for ea, va in p.items():
-        for eb, vb in q.items():
-            v = _hvec_mul(va, vb)
-            if any(v):
-                e = ea + eb
-                if e in out:
-                    out[e] = [x + y for x, y in zip(out[e], v)]
-                else:
-                    out[e] = v
-    return {e: v for e, v in out.items() if any(v)}
+    for cls in classes:
+        for key, v in cls.items():
+            out[key] = out.get(key, 0) + v
+    return {key: v for key, v in out.items() if v}
 
 
-def _hvec_shift(v, k):
-    """Multiply an H-vector by H^k."""
-    out = [Fraction(0)] * 4
-    for i, vi in enumerate(v):
-        if vi and i + k <= 3:
-            out[i + k] = vi
-    return out
+def _mul(a, b):
+    out: dict = {}
+    for (ha, ea, xa), va in a.items():
+        for (hb, eb, xb), vb in b.items():
+            if ha + hb <= 3:
+                key = (ha + hb, ea + eb, xa + xb)
+                out[key] = out.get(key, 0) + va * vb
+    return {key: v for key, v in out.items() if v}
 
 
-def _eta_reduce(p):
-    """Apply eta^3 = H eta^2 - H^2 eta + H^3 until all exponents are < 3."""
-    work = dict(p)
-    while True:
-        high = [e for e in work if e >= 3]
-        if not high:
-            return work
-        e = max(high)
-        v = work.pop(e)
-        for off, sign in ((1, 1), (2, -1), (3, 1)):
-            shifted = _hvec_shift(v, off)
-            if any(shifted):
-                tgt = e - 3 + (3 - off)
-                add = [sign * x for x in shifted]
-                if tgt in work:
-                    work[tgt] = [a + b for a, b in zip(work[tgt], add)]
-                else:
-                    work[tgt] = add
-
-
-def _xi_extract(vec_by_xi, d: int, r: int):
-    """Reduce xi powers >= r and return the coefficient of xi^{r-1}."""
-    _, a1, a2, a3 = _sym_chern_coeffs(d)
-    rel = (a1, a2, a3)
-    top = max(vec_by_xi) if vec_by_xi else 0
-    dense = [[Fraction(0)] * 4 for _ in range(max(top, r - 1) + 1)]
-    for e, v in vec_by_xi.items():
-        dense[e] = [x + y for x, y in zip(dense[e], v)]
-    for e in range(len(dense) - 1, r - 1, -1):
-        v = dense[e]
-        if not any(v):
-            continue
-        dense[e] = [Fraction(0)] * 4
-        for j, aj in enumerate(rel, start=1):
-            add = _hvec_shift(v, j)
-            if any(add):
-                dense[e - j] = [x - aj * y for x, y in zip(dense[e - j], add)]
-    return dense[r - 1]
-
-
-def _incidence_power(d: int, n: int):
-    """(d H + xi)^n as a dict xi-exponent -> H-vector."""
-    out = {}
-    for j in range(0, min(3, n) + 1):
-        vec = [Fraction(0)] * 4
-        vec[j] = Fraction(comb(n, j) * d**j)
-        out[n - j] = vec
-    return out
+def _reduce(cls, slot: int, r: int, relation):
+    """Rewrite the powers >= r of the variable in key ``slot``, highest
+    first, by var^r = sum_j relation[j-1] H^j var^(r-j)."""
+    step = {}
+    for j, c in enumerate(relation, start=1):
+        key = [j, 0, 0]
+        key[slot] = -j
+        step[tuple(key)] = c
+    for power in range(max((key[slot] for key in cls), default=0), r - 1, -1):
+        high = {key: v for key, v in cls.items() if key[slot] == power}
+        cls = _add({key: v for key, v in cls.items() if key[slot] != power}, _mul(high, step))
+    return cls
 
 
 def _one_nodal_class(d: int):
-    """The divisor class of one-nodal curves, as a dict xi-exp -> H-vector.
+    """The divisor class of one-nodal curves, a class with no eta.
 
-    Top Chern class of (Omega_{S/Gr} + O) tensored with the incidence line
-    bundle, pushed down the universal plane by extracting the eta^2
-    coefficient after eta-reduction.
+    The top Chern class of (Omega_{S/Gr} + O) tensored with the incidence
+    line bundle M = d eta + xi, c2(Omega) M + c1(Omega) M^2 + M^3, pushed
+    down the universal plane as the eta^2 coefficient after eta-reduction.
     """
-    # classes on the universal plane: c1(T) = 3 eta - H, c2(T) = 3 eta^2 - 2 H eta + H^2
-    def hv(c0=0, c1=0, c2=0, c3=0):
-        return [Fraction(c0), Fraction(c1), Fraction(c2), Fraction(c3)]
-
-    # M = d*eta + xi; encode xi as a separate variable by carrying pairs
-    # (eta_exp, xi_exp); here keys are (eta, xi).
-    def mul2(p, q):
-        out = {}
-        for (ea, xa), va in p.items():
-            for (eb, xb), vb in q.items():
-                v = _hvec_mul(va, vb)
-                if any(v):
-                    key = (ea + eb, xa + xb)
-                    if key in out:
-                        out[key] = [x + y for x, y in zip(out[key], v)]
-                    else:
-                        out[key] = v
-        return {k: v for k, v in out.items() if any(v)}
-
-    m = {(1, 0): hv(d), (0, 1): hv(1)}
-    m2 = mul2(m, m)
-    m3 = mul2(m2, m)
-    # c((Omega + O) tensor M): c3 = c2(Omega) c1(M) + c1(Omega) c1(M)^2 + c1(M)^3
-    c1_omega = {(1, 0): hv(-3), (0, 0): hv(0, 1)}  # H - 3 eta
-    c2_omega = {(2, 0): hv(3), (1, 0): hv(0, -2), (0, 0): hv(0, 0, 1)}
-    total = mul2(c2_omega, m)
-    for key, v in mul2(c1_omega, m2).items():
-        if key in total:
-            total[key] = [x + y for x, y in zip(total[key], v)]
-        else:
-            total[key] = v
-    for key, v in m3.items():
-        if key in total:
-            total[key] = [x + y for x, y in zip(total[key], v)]
-        else:
-            total[key] = v
-
-    # push down the plane: eta-reduce, take the eta^2 coefficient
-    by_xi: dict = {}
-    for xi_exp in sorted({x for (_, x) in total}):
-        sl = {e: v for (e, x), v in total.items() if x == xi_exp}
-        red = _eta_reduce(sl)
-        if 2 in red and any(red[2]):
-            by_xi[xi_exp] = red[2]
-    return by_xi
+    m = {(0, 1, 0): d, (0, 0, 1): 1}
+    m2 = _mul(m, m)
+    c1_omega = {(1, 0, 0): 1, (0, 1, 0): -3}  # H - 3 eta
+    c2_omega = {(0, 2, 0): 3, (1, 1, 0): -2, (2, 0, 0): 1}  # 3 eta^2 - 2 H eta + H^2
+    top = _add(_mul(c2_omega, m), _mul(c1_omega, m2), _mul(m2, m))
+    # eta^3 = H eta^2 - H^2 eta + H^3
+    reduced = _reduce(top, 1, 3, (1, -1, 1))
+    return {(h, 0, x): v for (h, e, x), v in reduced.items() if e == 2}
 
 
 def nu_class(d: int, delta: int, n_lines: int) -> NuClass:
     """The incidence class nu_{d, delta, n_lines} as coefficient * H^power."""
     if (d, delta) not in SUPPORTED_NU:
         raise ValueError(f"nu unavailable for (d, delta) = ({d}, {delta})")
-    n0 = _min_lines(d, delta)
-    h_power = 3 - ((_rank(d) + 2 - delta) - n_lines)
+    r = _rank(d)
+    h_power = 3 - ((r + 2 - delta) - n_lines)
     if not 0 <= h_power <= 3:
         raise ValueError(f"n_lines = {n_lines} outside the table range for ({d}, {delta})")
-    cls = _incidence_power(d, n_lines)
+    cls = {(j, 0, n_lines - j): comb(n_lines, j) * d**j for j in range(min(3, n_lines) + 1)}
     if delta == 1:
-        cls = _poly_mul(cls, _one_nodal_class(d))
-    hvec = _xi_extract(cls, d, _rank(d))
-    for j, v in enumerate(hvec):
-        if j != h_power and v != 0:
-            raise ArithmeticError(f"nu class not pure of H-power {h_power}: {hvec}")
-    coeff = hvec[h_power]
-    if coeff.denominator != 1:
-        raise ArithmeticError(f"non-integer nu coefficient {coeff}")
-    assert n0 + h_power == n_lines
-    return NuClass(d=d, delta=delta, n_lines=n_lines, coefficient=coeff.numerator, h_power=h_power)
+        cls = _mul(cls, _one_nodal_class(d))
+    # xi^r = -a1 H xi^(r-1) - a2 H^2 xi^(r-2) - a3 H^3 xi^(r-3)
+    _, a1, a2, a3 = _sym_chern_coeffs(d)
+    cls = _reduce(cls, 2, r, (-a1, -a2, -a3))
+    by_h = {h: v for (h, _, x), v in cls.items() if x == r - 1}
+    if set(by_h) - {h_power}:
+        raise ArithmeticError(f"nu class not pure of H-power {h_power}: {by_h}")
+    assert _min_lines(d, delta) + h_power == n_lines
+    coefficient = by_h.get(h_power, 0)
+    return NuClass(d=d, delta=delta, n_lines=n_lines, coefficient=coefficient, h_power=h_power)
 
 
 # -- decomposition combinatorics --------------------------------------------

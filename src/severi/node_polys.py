@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
@@ -140,6 +141,17 @@ def default_cache_dir() -> str:
 
 def _cache_path(cache_dir: str, delta: int, mode: str) -> str:
     return os.path.join(cache_dir, f"node-poly-{mode}-delta{delta}.json")
+
+
+def cached_deltas(mode: str, cache_dir: str) -> list[int]:
+    """The deltas, in order, whose record file for ``mode`` is in
+    ``cache_dir``; ``load`` still decides whether each holds a record."""
+    name = re.compile(rf"node-poly-{mode}-delta(0|[1-9][0-9]*)\.json")
+    try:
+        found = [name.fullmatch(entry) for entry in os.listdir(cache_dir)]
+    except OSError:
+        return []
+    return sorted(int(m[1]) for m in found if m)
 
 
 def store(record: NodePolynomialRecord, cache_dir: str | None = None) -> str:

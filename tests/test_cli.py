@@ -217,6 +217,25 @@ def test_poly_delta0(capsys, tmp_path):
     assert "delta=0 mode=p3 degree=9" in out
 
 
+def test_table_lists_every_cached_delta(capsys, tmp_path):
+    from severi.node_polys import NodePolynomialRecord, store
+    from severi.unipoly import UniPoly
+
+    for delta, mode in ((16, P3), (3, P3), (17, P2_FIXED)):
+        record = NodePolynomialRecord(
+            delta=delta, mode=mode, polynomial=UniPoly([delta]), sample_ds=(), check_ds=(), seed=0
+        )
+        store(record, str(tmp_path))
+    # a file whose name does not spell its delta, and a stale record, are not rows
+    (tmp_path / "node-poly-p3-delta016.json").write_text("{}")
+    (tmp_path / "node-poly-p2-delta4.json").write_text("{}")
+    code, out, _ = run(capsys, "table", "--json", "--cache-dir", str(tmp_path))
+    rows = [(row["mode"], row["delta"]) for row in json.loads(out)["polynomials"]]
+    assert code == 0 and rows == [(P3, 3), (P3, 16), (P2_FIXED, 17)]
+    code, out, _ = run(capsys, "table", "--cache-dir", str(tmp_path / "missing"))
+    assert code == 0 and out.strip() == "(cache empty)"
+
+
 def test_poly_p2_one_node(capsys, tmp_path):
     code, out, _ = run(
         capsys, "poly", "--delta", "1", "--mode", "p2", "--cache-dir", str(tmp_path), "--no-verify"
@@ -311,6 +330,19 @@ def test_check_refuses_mode_outside_the_dualspec_section(capsys, monkeypatch, on
     # the dualspec section included
     refuses_before_any_work(capsys, monkeypatch, (*only, "--mode", "p2"), "--mode")
     refuses_before_any_work(capsys, monkeypatch, ("--only", "dualspec", "--mode", "p2"), "--mode")
+
+
+@pytest.mark.parametrize("section", ["calibration", "tables"])
+def test_check_sections_under_the_default_do_not_read_the_seed(capsys, section):
+    # the default specialization is generic for every case these sections
+    # run, so no seeded draw is made
+    outputs = []
+    for seed in ("0", "7"):
+        calibrate._calibrated = False
+        code, out, _ = run(capsys, "check", "--only", section, "--json", "--seed", seed)
+        assert code == 0
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_check_dualspec_counts_in_both_modes(capsys, monkeypatch):

@@ -1,6 +1,7 @@
 import pytest
 
 from severi.crosscheck import (
+    _one_nodal_class,
     enumerate_decompositions,
     nu_class,
     reducible_count,
@@ -27,6 +28,20 @@ def test_nu_table():
         nc = nu_class(d, delta, n)
         assert nc.coefficient == coeff
         assert nc.h_power == n - min(k for (dd, de, k) in NU_TABLE if (dd, de) == (d, delta))
+
+
+def test_one_nodal_class_is_the_discriminant_for_every_degree():
+    # the discriminant of plane curves of degree d has degree 3(d-1)^2, and
+    # as an SL_3 invariant weight degree * d / 3 = d(d-1)^2
+    for d in range(1, 13):
+        expected = {(0, 0, 1): 3 * (d - 1) ** 2, (1, 0, 0): d * (d - 1) ** 2}
+        assert _one_nodal_class(d) == {key: v for key, v in expected.items() if v}
+
+
+def test_nu_classes_are_computed_in_integers():
+    for key in NU_TABLE:
+        assert type(nu_class(*key).coefficient) is int
+    assert all(type(v) is int for v in _one_nodal_class(5).values())
 
 
 def test_nu_unsupported():
