@@ -24,26 +24,25 @@ on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
 to zero and higher ones are cut by the degree cap.  The one at xi-degree x
 is weighted by an integer (incidence terms times Segre coefficients) and
 H^p, p = 3 + x - delta, with x <= delta under the H^4 rule, divided by the
-Grassmannian Euler factor and summed over the planes.  For p <= 3, H^p is
-lifted to the class of a coordinate subspace, which restricts to 0 on p of
-the planes, so each plane reads only some of the lines; the fixed-plane
-mode (p2) reads H^3 on the line x = delta, so one plane alone (see
-``_plane_units``).
+Grassmannian Euler factor and summed over the planes.  H^p is lifted to a
+class that restricts to 0 on all but 4 - min(p, 3) of the planes, so each
+plane reads only some of the lines; the fixed-plane mode (p2) reads H^3 on
+the line x = delta, so one plane alone (see ``_plane_units``).
 
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i, size, it
 builds the three chart series of a plane for sizes 0..size once, sums the
 products of the first two charts' size-a and size-b entries with a + b = s
 into one grid W[s] over one denominator, and reads every integral
-i' <= size off those grids with the integer readout weights.  With
-top = delta + 2*size, an entry of size n is kept up to total degree
-top - (size - n), since the other charts bring at least size - n.  The
-size-size entries are kept on the line of total degree top alone: Z1[size]
-and Z2[size] enter only W[size], and W[size] and Z3[size] only the integral
-for i = size, each beside a size-0 entry, which is 1, so nothing off that
-line is read.  Their partitions, the most of any size, still need whole
-cell products, but their chern factors, the pair products summed into
-W[size] and their shears are formed on the line alone.
+i' <= size off those grids.  With top = delta + 2*size, an entry of size
+n is kept up to total degree top - (size - n), since the other charts
+bring at least size - n.  The size-size entries are kept on the line of
+total degree top alone: Z1[size] and Z2[size] enter only W[size], and
+W[size] and Z3[size] only the integral for i = size, each beside a size-0
+entry, which is 1, so nothing off that line is read.  Their partitions,
+the most of any size, still need whole cell products, but their chern
+factors, the pair products summed into W[size] and their shears are
+formed on the line alone.
 
 Only the cell weights and the readout weights depend on the degree d, so
 one call also evaluates every sample degree of a node polynomial: the
@@ -51,18 +50,9 @@ tangent values, chern factors and chart series are computed once, at the
 first degree d0.  The O(d) fiber weight adds (d - d0) f_m to every cell
 weight of the chart at P_m, one slope per chart (zero at P_0), and a cell
 weight enters the series only through xi + eps w, so the series at d is
-the one at d0 under xi -> xi + (d - d0) f_m eps.  That shear keeps total
-degree, so it takes the top line to itself.  It brings t = d - d0 in only
-together with eps, so each coefficient xi^x eps^e a readout takes from the
-three-chart product is an integer polynomial in t of degree at most e,
-over a denominator free of d.  With E one more than the largest e read
-(min(3*delta + 1, 2*delta + 4) in p3, 2*delta + 1 in p2), the shear, the pair
-products and these line coefficients are formed directly at the first E
-degrees of a call and at its last; the other degrees get them by exact
-Lagrange interpolation in t from the first E, and the last degree must
-equal that interpolant too, or the call raises ArithmeticError.  Only the
-readout weights are applied at every degree.  Nothing is kept between
-calls.
+the one at d0 under xi -> xi + (d - d0) f_m eps (see ``_shear``).  Which
+degrees are sheared and which are interpolated is decided once per call,
+in ``integrate``.
 
 All arithmetic is exact.  The torus values are scaled to integers first;
 every contribution is homogeneous of degree zero in them, so the scale
@@ -366,11 +356,11 @@ def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, i
     return out
 
 
-def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, int]]:
-    """The line coefficients at t, from their values ``direct`` at ``nodes``
-    (each as ``_read_lines`` returns them), by exact Lagrange interpolation
+def _interpolated(direct: list[dict], nodes: list[int], t: int) -> dict:
+    """The plane sums at t, from their values ``direct`` at ``nodes``, each
+    {(i, x): numerator} (see ``integrate``), by exact Lagrange interpolation
     in t: p(t) = sum_k b_k p(nodes[k]) / D, with one basis of integers b_k
-    over one D shared by every coefficient.
+    over one D shared by every numerator.
 
     Each numerator is an integer polynomial in t, so every division is
     exact; one that is not raises ArithmeticError.
@@ -382,15 +372,11 @@ def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, in
         denominators.append(prod(node - other for other in others))
     common = lcm(*denominators)
     basis = [n * (common // d) for n, d in zip(numerators, denominators)]
-    out = []
-    for i, (coefficients, denominator) in enumerate(direct[0]):
-        interpolated = {}
-        for x in coefficients:
-            value, rest = divmod(sum(b * lines[i][0][x] for b, lines in zip(basis, direct)), common)
-            if rest:
-                raise ArithmeticError(f"inexact interpolation of the line coefficient i={i}, x={x}")
-            interpolated[x] = value
-        out.append((interpolated, denominator))
+    out = {}
+    for key in direct[0]:
+        out[key], rest = divmod(sum(b * sums[key] for b, sums in zip(basis, direct)), common)
+        if rest:
+            raise ArithmeticError(f"inexact interpolation of the plane sum (i, x) = {key}")
     return out
 
 
@@ -399,32 +385,27 @@ def _interpolated(direct: list, nodes: list[int], t: int) -> list[tuple[dict, in
 _FIXED_PLANE = 1
 
 
-def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: list) -> list:
-    """The ``_plane_integrals`` arguments of the planes a call evaluates, at
-    the degrees of ``readouts``, a list of (d, ``_readout_terms`` at d),
-    prepared once per call, with each plane's lifted H-powers folded into
-    its readout weights.  ``lines[i]`` holds the xi-degrees x <= delta + 2i
-    the plane reads, which are the same at every d.
+def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, degrees) -> list:
+    """The ``_plane_integrals`` arguments of the planes a call evaluates,
+    prepared once per call from the xi-degrees ``xs`` its readout reads and
+    its direct degrees (see ``integrate``).  ``lines[i]`` holds the
+    x <= delta + 2i the plane reads, ``lifted[x]`` its weight of the line x.
 
-    The line x is read with H^p, p = 3 + x - delta.  For p <= 3 the readout
-    lifts H^p to prod_{j in J_p} (H - h_j), the class of a coordinate
-    subspace, where J_p is the last p planes of the lift order: _FIXED_PLANE,
-    then the others.  The two differ by terms H^q, q < p, with coefficients
-    in the h_j, and H^q times the line's class has degree below the
-    dimension, so it integrates to zero: sum_k h_k^q L_k(i, x) / e_k = 0.
-    The lift restricts to 0 at the planes of J_p, so plane k reads the line
-    only if k is not in J_p, weighed by c_x prod_{j in J_p} (h_k - h_j) over
-    its Grassmannian Euler factor e_k.  The weights rest on
+    The line x is read with H^p, p = 3 + x - delta, lifted to
+    H^max(p - 3, 0) prod_{j in J} (H - h_j), J the last min(p, 3) planes of
+    the lift order: _FIXED_PLANE, then the others.  The two differ by terms
+    H^q, q < p, with coefficients in the h_j, and H^q times the line's class
+    has degree below the dimension, so it integrates to zero:
+    sum_k h_k^q L_k(i, x) / e_k = 0.  The lift restricts to 0 at the planes
+    of J, so plane k reads the line only if k is not in J, weighed by the
+    lift at h_k over its Grassmannian Euler factor e_k.  The weights rest on
     e_k = prod_{j != k} (h_k - h_j), so an Euler factor that breaks it
-    raises ArithmeticError.  The first plane of the order reads x <= delta,
-    the next x <= delta - 1, the next x <= delta - 2 and the last
-    x = delta - 3 alone; a plane left with no line (delta <= 2) is not
-    evaluated.  With the H^4 rule off, the lines with p >= 4 keep h_k^p at
-    all four planes.
-
-    In p2 the incidence class H^3 is the class of a point, and the readout
-    {delta: 1} reads one line, at p = 3: the lift's one-plane case, the
-    fixed plane alone, weighed by e_k / e_k = 1.
+    raises ArithmeticError.  The first plane of the order reads x <= delta
+    (and x > delta, with the H^4 rule off), the next x <= delta - 1, the
+    next x <= delta - 2 and the last x = delta - 3 alone; a plane left with
+    no line (delta <= 2) is not evaluated.  In p2 the readout {delta: 1}
+    reads one line, at p = 3 (H^3 is the class of a point): the lift's
+    one-plane case, the fixed plane alone, weighed by e_k / e_k = 1.
 
     Evaluating the tangent weights of the units' charts here is the one
     genericity check: a non-generic draw raises before any cell product and
@@ -439,24 +420,23 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
         return sum(map(mul, char, scaled))
 
     h = [value(h_weight(k)) for k in range(4)]
-    # the lift order: J_p is its last p planes
+    # the lift order: J is its last min(p, 3) planes
     order = [_FIXED_PLANE] + [k for k in (0, 2, 3, 1) if k != _FIXED_PLANE]
     exponents = _tangent_exponents(spec.i)
     cells = [(a, b) for a in range(spec.i) for b in range(spec.i // (a + 1))]
-    d0 = readouts[0][0]
+    d0 = degrees[0]
     units = []
-    for r, k in enumerate(order):
+    for k in order:
         # nonzero: each factor is a difference of two of the pairwise distinct values
         euler = prod(value(w) for w in gr_tangent_weights(k))
         if euler != prod(h[k] - h[j] for j in range(4) if j != k):
             raise ArithmeticError(f"convention fault: the Euler factor of V_{k} is {euler}")
         lifted = {}
-        for x in sorted(readouts[0][1]):
+        for x in xs:
             p = 3 + x - spec.delta
-            if p >= 4:
-                lifted[x] = h[k] ** p
-            elif p <= 3 - r:  # k is not among the last p planes of the order
-                lifted[x] = prod(h[k] - h[j] for j in order[4 - p :])
+            lift = order[4 - min(p, 3) :]  # J
+            if k not in lift:
+                lifted[x] = h[k] ** max(p - 3, 0) * prod(h[k] - h[j] for j in lift)
         if not lifted:
             continue
         lines = [[x for x in lifted if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
@@ -465,33 +445,24 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, readouts: 
             tangents = _chart_tangents(k, m, exponents, value)
             weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
             w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
-            charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d, _ in readouts]))
-        weighed = [(d, {x: c * readout[x] for x, c in lifted.items()}) for d, readout in readouts]
-        units.append((charts, euler, spec.delta, lines, weighed))
+            charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d in degrees]))
+        units.append((charts, euler, spec.delta, lines, lifted))
     return units
 
 
-def _plane_integrals(
-    charts: list, euler: int, delta: int, lines: list, readouts: list
-) -> list[list[Fraction]]:
-    """Contributions of the fixed points on one plane to the integrals for
-    i = 0..size at each degree of ``readouts``, given its three charts as
-    (tangent values, cell weights at d0, shift per degree), its Grassmannian
-    Euler factor, the xi-degrees ``lines[i]`` read per i, and the plane's
-    readout weights per degree, lifted H-powers included (see
-    ``_plane_units``).
+def _plane_integrals(charts: list, euler: int, delta: int, lines: list, lifted: dict) -> tuple:
+    """One plane's lifted lines at the direct degrees of a call, given its
+    three charts as (tangent values, cell weights at d0, shift per direct
+    degree), its Grassmannian Euler factor, the xi-degrees ``lines[i]`` read
+    per i and each line's lift weight (see ``_plane_units``): a denominator
+    per i, free of d, Euler factor included, and per direct degree
+    {(i, x): numerator} of lifted[x] L(i, x).
 
     The chern factors and chart series are computed once, the series at d0,
-    and sheared to each degree by ``_shear``.  A chart that is sheared keeps
-    every xi-row up to the top total degree, since the shear moves xi-degree
-    into eps-degree; the others keep only the rows that are read.
-
-    A line coefficient xi^x eps^e of the three-chart product is an integer
-    polynomial in t = d - d0 of degree at most e, since the shear brings t in
-    only with eps.  With E one more than the largest e read, the first E
-    degrees and the last are evaluated directly; the others get their line
-    coefficients by interpolation in t from the first E, and the last must
-    equal that interpolant, or this raises ArithmeticError.
+    and sheared to each direct degree by ``_shear``.  A chart that is
+    sheared keeps every xi-row up to the top total degree, since the shear
+    moves xi-degree into eps-degree; the others keep only the rows that are
+    read.
     """
     size = len(lines) - 1
     top = delta + 2 * size
@@ -503,25 +474,14 @@ def _plane_integrals(
         factors = _chern_factors(tangents, size)
         series = _chart_series(weights, factors, top + 1 if any(shifts) else rows, cols, top)
         bases.append((series, shifts))
-
-    def direct(j: int) -> list:
+    numerators = []
+    for j in range(len(charts[0][2])):
         sheared = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
-        return _read_lines(sheared, lines, delta, top)
-
-    # cols is E: every line coefficient read has degree below it in t
-    d0 = readouts[0][0]
-    nodes = [d - d0 for d, _ in readouts[:cols]]
-    first = [direct(j) for j in range(len(nodes))]
-    lines_at = first + [_interpolated(first, nodes, d - d0) for d, _ in readouts[len(nodes) :]]
-    if len(lines_at) > len(nodes) and direct(len(lines_at) - 1) != lines_at[-1]:
-        raise ArithmeticError(f"a line coefficient is not of degree below {len(nodes)} in d")
-    return [
-        [
-            Fraction(sum(readout[x] * n for x, n in coefficients.items()), common * euler)
-            for coefficients, common in read
-        ]
-        for read, (_, readout) in zip(lines_at, readouts)
-    ]
+        read = _read_lines(sheared, lines, delta, top)
+        numerators.append(
+            {(i, x): lifted[x] * n for i, (line, _) in enumerate(read) for x, n in line.items()}
+        )
+    return [common * euler for _, common in read], numerators
 
 
 # the work estimate of ``integrate`` (fixed points at spec.i times direct
@@ -552,11 +512,22 @@ def integrate(
     node polynomial, need.  The plane-independent work is done once
     (``_plane_units``), which gives one unit per plane evaluated: the planes
     that read some line under the lifted readout, all four in p3 from
-    delta = 3 on, the fixed plane alone in p2.  Each unit then builds its three
-    chart series at the first degree and shears them to the first E degrees
-    and the last (``_plane_integrals``), and the other degrees are
-    interpolated, so a call with at most E + 1 degrees, a count among them,
-    evaluates every degree directly.
+    delta = 3 on, the fixed plane alone in p2.
+
+    The degrees, decided here once per call.  The units shear their chart
+    series, built at the first degree d0, to the direct degrees alone
+    (``_plane_integrals``).  The shear brings t = d - d0 in only with eps,
+    so a line coefficient xi^x eps^e is an integer polynomial in t of degree
+    at most e over a denominator free of d, and so is the numerator of the
+    plane sum M(i, x, d) = sum_k lift_k(x) L_k(i, x) / e_k over one
+    denominator per i (M is the integral of H^p times the line's class, free
+    of the specialization).  With E one more than the largest e read
+    (min(3*delta + 1, 2*delta + 4) in p3 and 2*delta + 1 in p2, at
+    i = delta), the first E degrees and the last are direct; the plane sums
+    at the others are interpolated in t from the first E (``_interpolated``),
+    and the last must equal that interpolant too, or this raises
+    ArithmeticError.  The readout weights are applied to the plane sums
+    last, once per degree.
 
     Raises NonGenericSpecialization, before any plane unit runs, if a
     tangent weight at some size <= spec.i vanishes at a chart of a unit.
@@ -570,14 +541,14 @@ def integrate(
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
-    readouts = [(d, _readout_terms(replace(spec, d=d), h4_rule)) for d in degrees]
+    readouts = {d: _readout_terms(replace(spec, d=d), h4_rule) for d in degrees}
+    xs = sorted(readouts[spec.d])
+    e = 1 + spec.delta + 2 * spec.i - xs[0]
+    direct = degrees[:e] + degrees[e:][-1:]
     points = fixed_point_count(spec.i)
-    units = _plane_units(spec, specialization, readouts)
+    units = _plane_units(spec, specialization, xs, direct)
     args = tuple(zip(*units))
-    # E as in _plane_integrals: the first E degrees and the last are direct
-    e = 1 + spec.delta + 2 * spec.i - min(readouts[0][1])
-    work = points * (min(len(degrees), e) + (len(degrees) > e))
-    if jobs <= 1 or len(units) == 1 or work < _POOL_WORK:
+    if jobs <= 1 or len(units) == 1 or points * len(direct) < _POOL_WORK:
         parts = list(map(_plane_integrals, *args))
     else:
         # looked up on the module, so that a wrapper bound there (the
@@ -585,9 +556,26 @@ def integrate(
         # beyond the plane units would only be forked to idle
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             parts = list(pool.map(_plane_integrals, *args))
+    # the numerators of M(i, x, d) at the direct degrees, one denominator per i
+    denominators = [lcm(*column) for column in zip(*(dens for dens, _ in parts))]
+    sums = [{} for _ in direct]
+    for dens, numerators in parts:
+        scales = [common // den for common, den in zip(denominators, dens)]
+        for total, lines in zip(sums, numerators):
+            for (i, x), n in lines.items():
+                total[i, x] = total.get((i, x), 0) + n * scales[i]
+    at = dict(zip(direct, sums))
+    nodes = [d - direct[0] for d in direct[:e]]
+    for d in degrees[e:]:
+        interpolated = _interpolated(sums[:e], nodes, d - direct[0])
+        if at.setdefault(d, interpolated) != interpolated:
+            raise ArithmeticError(f"a plane sum is not of degree below {e} in d")
     by_degree = {
-        d: tuple(sum(column, Fraction(0)) for column in zip(*per_plane))
-        for d, per_plane in zip(degrees, zip(*parts))
+        d: tuple(
+            Fraction(sum(readouts[d][x] * n for (j, x), n in at[d].items() if j == i), common)
+            for i, common in enumerate(denominators)
+        )
+        for d in degrees
     }
     values = by_degree[spec.d]
     return IntegralResult(

@@ -19,11 +19,8 @@ readout (see ``localization._plane_units``), so they run serially whatever
 polynomials against Goettsche's generating function, independently of the
 localization.
 
-All the samples come from one ``integrate`` call.  It evaluates its first
-few degrees and the last one directly (see ``localization.integrate``) and
-gets the localization's line coefficients at the degrees in between by
-exact interpolation.  The last degree, the second extra sample, must equal
-that interpolant, and never depends on it.
+All the samples come from one ``integrate`` call, which evaluates some of
+them directly and interpolates the others (see ``localization.integrate``).
 
 Records are persisted as one JSON file per (delta, mode) holding the
 record's fields and ``CACHE_VERSION``; a file of another version is a miss.
@@ -174,8 +171,13 @@ def store(record: NodePolynomialRecord, cache_dir: str | None = None) -> str:
     return path
 
 
+# a coefficient as ``store`` writes it
+_RATIONAL = re.compile(r"-?[0-9]+(/[0-9]+)?")
+
+
 def load(delta: int, mode: str, cache_dir: str | None = None) -> NodePolynomialRecord | None:
-    """Load a cached record; any corruption or version mismatch is a miss."""
+    """Load a cached record; any corruption or version mismatch is a miss,
+    and so is a field of the wrong type."""
     cache_dir = cache_dir or default_cache_dir()
     path = _cache_path(cache_dir, delta, mode)
     try:
@@ -186,11 +188,20 @@ def load(delta: int, mode: str, cache_dir: str | None = None) -> NodePolynomialR
         if payload.get("delta") != delta or payload.get("mode") != mode:
             return None
         values = {f.name: payload[f.name] for f in fields(NodePolynomialRecord)}
-        values["polynomial"] = UniPoly.from_coeff_strings(values["polynomial"])
+        coefficients, ds = values["polynomial"], (values["sample_ds"], values["check_ds"])
+        if not (
+            isinstance(coefficients, list)
+            and all(isinstance(c, str) and _RATIONAL.fullmatch(c) for c in coefficients)
+            and all(isinstance(v, list) and v and all(type(d) is int for d in v) for v in ds)
+            and type(values["seed"]) is int
+            and type(values["verified"]) is bool
+        ):
+            return None
+        values["polynomial"] = UniPoly.from_coeff_strings(coefficients)
         values["sample_ds"] = tuple(values["sample_ds"])
         values["check_ds"] = tuple(values["check_ds"])
         return NodePolynomialRecord(**values)
-    except (OSError, ValueError, KeyError, TypeError, AttributeError):
+    except (OSError, ValueError, KeyError, TypeError, AttributeError, ZeroDivisionError):
         return None
 
 

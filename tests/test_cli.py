@@ -223,7 +223,12 @@ def test_table_lists_every_cached_delta(capsys, tmp_path):
 
     for delta, mode in ((16, P3), (3, P3), (17, P2_FIXED)):
         record = NodePolynomialRecord(
-            delta=delta, mode=mode, polynomial=UniPoly([delta]), sample_ds=(), check_ds=(), seed=0
+            delta=delta,
+            mode=mode,
+            polynomial=UniPoly([delta]),
+            sample_ds=(delta + 1,),
+            check_ds=(delta + 2,),
+            seed=0,
         )
         store(record, str(tmp_path))
     # a file whose name does not spell its delta, and a stale record, are not rows

@@ -23,6 +23,8 @@ from severi.weights import (
 SP = Specialization.default()
 # makes a Hilbert tangent weight vanish at i = 3, at a chart of some plane
 NON_GENERIC = Specialization((2, 3, 5, 7))
+# torus values with denominators, scaled to integers by the evaluator
+RATIONAL_VALUES = (Fraction(1, 2), 3, Fraction(7, 3), 5)
 
 
 def test_integrate_smooth_conic():
@@ -294,11 +296,55 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
         return parts
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
-    readouts = [(d, localization._readout_terms(replace(s, d=d), h4_rule)) for d in DEGREES]
-    units = localization._plane_units(s, sp, readouts)
-    per_plane = [_plane_integrals(*unit) for unit in reversed(units)]
-    for d, per_degree in zip(DEGREES, zip(*per_plane)):
-        assert tuple(sum(column, Fraction(0)) for column in zip(*per_degree)) == res.by_degree[d]
+    readouts = [localization._readout_terms(replace(s, d=d), h4_rule) for d in DEGREES]
+    units = localization._plane_units(s, sp, sorted(readouts[0]), DEGREES)
+    for d, readout, sums in zip(DEGREES, readouts, lifted_sums(reversed(units))):
+        assert read_out(sums, readout, top) == res.by_degree[d]
+
+
+def lifted_sums(units) -> list[dict]:
+    """Per direct degree of the plane units, in Fractions, the plane sums
+    M(i, x, d) = sum_k lift_k(x) L_k(i, x) / e_k of their lifted lines, each
+    unit's from ``_plane_integrals``, added in the order given."""
+    parts = [_plane_integrals(*unit) for unit in units]
+    return [
+        {
+            key: sum(Fraction(at[j].get(key, 0), dens[key[0]]) for dens, at in parts)
+            for key in dict.fromkeys(key for _, at in parts for key in at[j])
+        }
+        for j in range(len(parts[0][1]))
+    ]
+
+
+def read_out(sums: dict, readout: dict, size: int) -> tuple:
+    """The integrals for i = 0..size that ``readout`` takes from the plane
+    sums at one degree."""
+    return tuple(
+        sum((c * sums.get((i, x), 0) for x, c in readout.items()), Fraction(0))
+        for i in range(size + 1)
+    )
+
+
+@pytest.mark.parametrize("h4_rule", [True, False])
+@pytest.mark.parametrize("mode", [P3, P2_FIXED])
+def test_plane_sums_are_free_of_the_specialization(mode, h4_rule):
+    # the plane sum of a lifted line is the integral of H^p times the line's
+    # class, a number, and for x > delta, p >= 4 (the H^4 rule off), it is 0
+    s = IntegrandSpec(i=4, delta=4, d=6, mode=mode)
+    readout = localization._readout_terms(s, h4_rule)
+    degrees = (6, 7)
+    sums = [
+        lifted_sums(localization._plane_units(s, sp, sorted(readout), degrees))
+        for sp in (SP, Specialization.from_seed(11), Specialization(RATIONAL_VALUES))
+    ]
+    assert sums[0] == sums[1] == sums[2]
+    for d, at in zip(degrees, sums[0]):
+        assert {x for _, x in at} == set(readout)
+        assert all(v == 0 for (_, x), v in at.items() if x > s.delta)
+        assert any(at.values())
+        assert read_out(at, localization._readout_terms(replace(s, d=d), h4_rule), s.i) == (
+            integrate(replace(s, d=d), SP, h4_rule=h4_rule).values
+        )
 
 
 def test_chart_series_without_d_are_built_once_per_plane_per_call(monkeypatch):
@@ -534,12 +580,13 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     # a p2 readout reads the line at xi-degree delta alone; a line at
     # delta + t, t >= 1, would stand for H^(3 + t), the integral of a class
     # of degree 2i - t over the compact fibre Hilb^i(V_k), so it is zero.
-    # Asked for every such line, the fixed plane reads them all and, as
-    # H^(3 + t) is not lifted, so does every other plane: all read zero.
+    # H^(3 + t) lifts to H^t times the lift of H^3, so, asked for every such
+    # line, the fixed plane alone reads them; as each plane is made the
+    # fixed one in turn, every plane reads zero on all of them.
     s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
-    sp = Specialization((Fraction(1, 2), 3, Fraction(7, 3), 5))
-    every = {x: 1 for x in range(s.delta, s.delta + 2 * s.i + 1)}
-    expected = [list(integrate(s, sp, h4_rule=False).values)]
+    sp = Specialization(RATIONAL_VALUES)
+    every = range(s.delta, s.delta + 2 * s.i + 1)
+    expected = integrate(s, sp, h4_rule=False).values
     read = []
     read_lines = localization._read_lines
     monkeypatch.setattr(
@@ -547,18 +594,16 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     )
     for k in range(4):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        units = localization._plane_units(s, sp, [(s.d, every)])
-        assert len(units) == 4, k
-        per_plane = [_plane_integrals(*unit)[0] for unit in units]
-        assert [[sum(column, Fraction(0)) for column in zip(*per_plane)]] == expected, k
-    assert len(read) == 16
-    for n, lines in enumerate(read):
-        first = s.delta if n % 4 == 0 else s.delta + 1  # the fixed plane's unit comes first
+        units = localization._plane_units(s, sp, list(every), (s.d,))
+        assert len(units) == 1, k
+        (sums,) = lifted_sums(units)
+        assert read_out(sums, dict.fromkeys(every, 1), s.i) == expected, k
+    assert len(read) == 4
+    for lines in read:
         assert [sorted(line) for line, _ in lines] == [
-            list(range(first, s.delta + 2 * i + 1)) for i in range(s.i + 1)
+            list(range(s.delta, s.delta + 2 * i + 1)) for i in range(s.i + 1)
         ]
         assert all(c == 0 for line, _ in lines for x, c in line.items() if x > s.delta)
-    for lines in read[::4]:
         assert any(line[s.delta] for line, _ in lines)
 
 
@@ -791,10 +836,10 @@ def test_a_line_coefficient_of_degree_E_in_d_raises(monkeypatch):
 
 def test_interpolation_raises_on_an_inexact_division():
     def at(values):
-        return [[({0: v}, 1)] for v in values]
+        return [{(0, 0): v} for v in values]
 
     nodes = [0, 2, 5]
-    assert localization._interpolated(at([-3, 1, 22]), nodes, -4) == [({0: 13}, 1)]  # t^2 - 3
+    assert localization._interpolated(at([-3, 1, 22]), nodes, -4) == {(0, 0): 13}  # t^2 - 3
     # no integer polynomial of degree < 3 takes 0, 1, 0 there: it is 2/3 at t = 1
     with pytest.raises(ArithmeticError, match="inexact"):
         localization._interpolated(at([0, 1, 0]), nodes, 1)

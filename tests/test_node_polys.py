@@ -154,6 +154,30 @@ def test_load_a_file_whose_record_disagrees_with_its_name(tmp_path, delta, mode)
     assert load(delta, mode, str(tmp_path)) is None
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("polynomial", "12"),  # a string, which would be read one character at a time
+        ("polynomial", ["1", "1/0"]),
+        ("polynomial", [1, 2]),
+        ("sample_ds", []),
+        ("sample_ds", ["1"]),
+        ("check_ds", []),
+        ("seed", "0"),
+        ("verified", "no"),
+    ],
+)
+def test_load_a_record_with_a_malformed_field_is_a_miss(tmp_path, name, value):
+    path = store(small_record(), str(tmp_path))
+    assert load(0, "p3", str(tmp_path)) is not None
+    with open(path) as fh:
+        payload = json.load(fh)
+    payload[name] = value
+    with open(path, "w") as fh:
+        json.dump(payload, fh)
+    assert load(0, "p3", str(tmp_path)) is None
+
+
 def test_store_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):
     def failing(src, dst):
         raise OSError("rename refused")

@@ -49,6 +49,7 @@ PLANE_SUMS = (
     "tests/test_localization.py::"
     "test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integral"
 )
+DEGREE_E = "tests/test_localization.py::test_a_line_coefficient_of_degree_E_in_d_raises"
 
 MUTANTS = (
     Mutant(
@@ -155,6 +156,38 @@ MUTANTS = (
         "if low <= x + e <= top else 0",
         "if low <= x + e < top else 0",
         "_product keeps total degrees up to top",
+        ("tests/test_localization.py",),
+    ),
+    Mutant(
+        "plane-sum-wrong-denominator",
+        LOCALIZATION,
+        "zip(denominators, dens)]",
+        "zip(denominators, parts[0][0])]",
+        "each plane's lines are scaled to the common denominator by their own plane's",
+        ("tests/test_localization.py",),
+    ),
+    Mutant(
+        "last-degree-interpolated",
+        LOCALIZATION,
+        "direct = degrees[:e] + degrees[e:][-1:]",
+        "direct = degrees[:e]",
+        "the last degree is evaluated directly and checked against the interpolant",
+        (DEGREE_E,),
+    ),
+    Mutant(
+        "E-one-lower",
+        LOCALIZATION,
+        "e = 1 + spec.delta + 2 * spec.i - xs[0]",
+        "e = spec.delta + 2 * spec.i - xs[0]",
+        "E interpolation nodes: the plane sums have degree up to E - 1 in d",
+        ("tests/test_localization.py",),
+    ),
+    Mutant(
+        "lift-power-p-2",
+        LOCALIZATION,
+        "h[k] ** max(p - 3, 0)",
+        "h[k] ** max(p - 2, 0)",
+        "H^p lifts to H^max(p - 3, 0) times the class of J; the power is 0 at p = 3",
         ("tests/test_localization.py",),
     ),
 )
