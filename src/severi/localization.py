@@ -23,11 +23,11 @@ series, q counting partition size.  Cohomological degree exactly
 on the line (xi-degree) + (eps-degree) = delta + 2i: lower degrees integrate
 to zero and higher ones are cut by the degree cap.  The one at xi-degree x
 is weighted by an integer (incidence terms times Segre coefficients) and
-H^p, p = 3 + x - delta, with x <= delta under the H^4 rule, divided by the
-Grassmannian Euler factor and summed over the planes.  H^p is lifted to a
-class that restricts to 0 on all but 4 - min(p, 3) of the planes, so each
-plane reads only some of the lines; the fixed-plane mode (p2) reads H^3 on
-the line x = delta, so one plane alone (see ``_plane_units``).
+H^p, p = 3 + x - delta, x <= delta since H^4 = 0 (see ``_readout_terms``),
+divided by the Grassmannian Euler factor and summed over the planes.  H^p
+is lifted to a class that restricts to 0 on all but 4 - min(p, 3) of the
+planes, so each plane reads only some of the lines; the fixed-plane mode
+(p2) reads H^3 on the line x = delta, so one plane (``_plane_units``).
 
 The chart series do not depend on i, only their truncation does, so one
 ``integrate`` call evaluates a whole count: for the largest i, size, it
@@ -276,25 +276,20 @@ def _shear(series, c: int, rows: int, top: int):
     ]
 
 
-def _readout_terms(spec: IntegrandSpec, h4_rule: bool) -> dict[int, int]:
+def _readout_terms(spec: IntegrandSpec) -> dict[int, int]:
     """What the integrals read: an integer weight per xi-degree x, taken with
     H^(3 + x - delta).  The integral for i reads the x <= delta + 2i.  This
     depends on d but not on the plane, and its keys not on d either.
 
-    In p3 the incidence term c_s H^(3-s) xi^s and the Segre term rho_t H^t
-    read the xi^(delta+t-s) coefficient of the chart product.  The H^4 rule
-    keeps x <= delta.  In p2 the incidence class H^3 is a point class, so
-    only the line x = delta is read.
+    The incidence term c_s H^(3-s) xi^s and the Segre term rho_t H^t read
+    the xi^(delta+t-s) coefficient of the chart product; H^4 = 0 keeps
+    t <= s, so x <= delta.  p2's one incidence term, H^3, gives {delta: 1}.
     """
-    if spec.mode != P3:
-        return {spec.delta: 1}
-    top = spec.delta if h4_rule else spec.delta + 2 * spec.i
-    rho = segre_coeffs(spec.d, top - spec.delta + 3)
     terms: dict[int, int] = {}
     for s, _, c in incidence_terms(spec):
-        for t, r in enumerate(rho):
+        for t, r in enumerate(segre_coeffs(spec.d, s)):
             x = spec.delta + t - s
-            if 0 <= x <= top:
+            if x >= 0:
                 terms[x] = terms.get(x, 0) + c * r
     return terms
 
@@ -392,8 +387,8 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
     x <= delta + 2i the plane reads, ``lifted[x]`` its weight of the line x.
 
     The line x is read with H^p, p = 3 + x - delta, lifted to
-    H^max(p - 3, 0) prod_{j in J} (H - h_j), J the last min(p, 3) planes of
-    the lift order: _FIXED_PLANE, then the others.  The two differ by terms
+    prod_{j in J} (H - h_j), J the last min(p, 3) planes of the lift order:
+    _FIXED_PLANE, then the others.  For p <= 3 the two differ by terms
     H^q, q < p, with coefficients in the h_j, and H^q times the line's class
     has degree below the dimension, so it integrates to zero:
     sum_k h_k^q L_k(i, x) / e_k = 0.  The lift restricts to 0 at the planes
@@ -401,11 +396,11 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
     lift at h_k over its Grassmannian Euler factor e_k.  The weights rest on
     e_k = prod_{j != k} (h_k - h_j), so an Euler factor that breaks it
     raises ArithmeticError.  The first plane of the order reads x <= delta
-    (and x > delta, with the H^4 rule off), the next x <= delta - 1, the
-    next x <= delta - 2 and the last x = delta - 3 alone; a plane left with
-    no line (delta <= 2) is not evaluated.  In p2 the readout {delta: 1}
-    reads one line, at p = 3 (H^3 is the class of a point): the lift's
-    one-plane case, the fixed plane alone, weighed by e_k / e_k = 1.
+    (and x > delta, with weight e_k: see ``nodal_counts``), the next
+    x <= delta - 1, the next x <= delta - 2 and the last x = delta - 3
+    alone; a plane left with no line (delta <= 2) is not evaluated.  In p2
+    the readout {delta: 1} reads one line, at p = 3 (H^3 is the class of a
+    point): the lift's one-plane case, the fixed plane alone, e_k / e_k = 1.
 
     Evaluating the tangent weights of the units' charts here is the one
     genericity check: a non-generic draw raises before any cell product and
@@ -436,7 +431,7 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
             p = 3 + x - spec.delta
             lift = order[4 - min(p, 3) :]  # J
             if k not in lift:
-                lifted[x] = h[k] ** max(p - 3, 0) * prod(h[k] - h[j] for j in lift)
+                lifted[x] = prod(h[k] - h[j] for j in lift)
         if not lifted:
             continue
         lines = [[x for x in lifted if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
@@ -496,7 +491,6 @@ def integrate(
     spec: IntegrandSpec,
     specialization: Specialization,
     *,
-    h4_rule: bool = True,
     jobs: int = 1,
     degrees=None,
 ) -> IntegralResult:
@@ -526,8 +520,8 @@ def integrate(
     i = delta), the first E degrees and the last are direct; the plane sums
     at the others are interpolated in t from the first E (``_interpolated``),
     and the last must equal that interpolant too, or this raises
-    ArithmeticError.  The readout weights are applied to the plane sums
-    last, once per degree.
+    ArithmeticError.  The readout weights (``_readout_terms``, the lines
+    x <= delta alone) are applied to the plane sums last, once per degree.
 
     Raises NonGenericSpecialization, before any plane unit runs, if a
     tangent weight at some size <= spec.i vanishes at a chart of a unit.
@@ -541,7 +535,7 @@ def integrate(
     degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))
     if spec.d not in degrees:
         raise ValueError(f"degrees {degrees} do not include spec.d = {spec.d}")
-    readouts = {d: _readout_terms(replace(spec, d=d), h4_rule) for d in degrees}
+    readouts = {d: _readout_terms(replace(spec, d=d)) for d in degrees}
     xs = sorted(readouts[spec.d])
     e = 1 + spec.delta + 2 * spec.i - xs[0]
     direct = degrees[:e] + degrees[e:][-1:]
@@ -643,9 +637,11 @@ def nodal_counts(
     draws of ``seed``, until one is generic.  With ``verify`` on, every
     integral at every degree is recomputed under the first generic seeded
     draw that differs from the specialization used, and the two runs must
-    agree exactly.  ``h4_rule`` toggles the H^4 = 0 pruning of the symbolic
-    representative, which acts on p3 readouts only; the counts must not
-    depend on it.
+    agree exactly.  With ``h4_rule`` off, in both modes, the lines x > delta
+    that H^4 = 0 drops from every readout (integrals of classes of degree
+    below 2i over the compact fibre Hilb^i(V_k), so 0) are built under the
+    specialization used, at every degree, on the fixed plane that the lift
+    reads them on alone (``_plane_units``); one not 0 raises ArithmeticError.
     """
     if delta < 0:
         raise ValueError("delta must be >= 0")
@@ -653,7 +649,7 @@ def nodal_counts(
     if not ds:
         raise ValueError("need at least one degree")
     spec = IntegrandSpec(i=delta, delta=delta, d=ds[0], mode=mode)
-    options = dict(h4_rule=h4_rule, jobs=jobs, degrees=ds)
+    options = dict(jobs=jobs, degrees=ds)
     if specialization is None:
         candidates = chain((Specialization.default(),), _draws(seed))
     else:
@@ -667,6 +663,12 @@ def nodal_counts(
                     raise ArithmeticError(
                         f"specialization disagreement at d={d}, i={i}: {v0} vs {v1}"
                     )
+    if not h4_rule:
+        for unit in _plane_units(spec, used, range(delta + 1, 3 * delta + 1), ds):
+            _, numerators = _plane_integrals(*unit)
+            nonzero = [(d, key) for d, at in zip(ds, numerators) for key, n in at.items() if n]
+            if nonzero:
+                raise ArithmeticError(f"a line past H^3, (d, (i, x)) = {nonzero[0]}, is not 0")
     counts = []
     for d in ds:
         # one integer sum over the integrals' common denominator

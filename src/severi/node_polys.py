@@ -38,7 +38,7 @@ import re
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
-from math import factorial
+from math import factorial, isfinite
 
 from .integrand import P2_FIXED, P3, IntegrandSpec, MODES
 # count_nodal is not called here any more; the benchmark's tracer
@@ -193,8 +193,10 @@ def load(delta: int, mode: str, cache_dir: str | None = None) -> NodePolynomialR
             isinstance(coefficients, list)
             and all(isinstance(c, str) and _RATIONAL.fullmatch(c) for c in coefficients)
             and all(isinstance(v, list) and v and all(type(d) is int for d in v) for v in ds)
-            and type(values["seed"]) is int
+            and all(type(values[name]) is int for name in ("delta", "seed"))
             and type(values["verified"]) is bool
+            and type(values["created_at"]) in (int, float)
+            and isfinite(values["created_at"])
         ):
             return None
         values["polynomial"] = UniPoly.from_coeff_strings(coefficients)

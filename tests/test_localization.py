@@ -7,7 +7,7 @@ import pytest
 from helpers import reference_count
 
 import severi.localization as localization
-from severi.integrand import IntegrandSpec, P2_FIXED, P3
+from severi.integrand import IntegrandSpec, P2_FIXED, P3, incidence_terms, segre_coeffs
 from severi.localization import _plane_integrals, count_nodal, integrate, nodal_counts
 from severi.partitions import enumerate_fixed_points, partitions, plane_points
 from severi.reference import _compile_terms, _reference_integral, _sum_over_points, build_integrand
@@ -265,11 +265,11 @@ DEGREES = (5, 4, 3)
 )
 def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4_rule, values):
     # one call evaluates i = 0..top at every degree; its entry (d, i) must
-    # equal the reference for (d, i)
+    # equal the reference for (d, i), with the reference's H^4 rule on or off
     sp = Specialization.from_seed(11) if values is None else Specialization(values)
     top = 5 if h4_rule else 3
     s = IntegrandSpec(i=top, delta=5, d=4, mode=mode)
-    res = integrate(s, sp, h4_rule=h4_rule, degrees=DEGREES)
+    res = integrate(s, sp, degrees=DEGREES)
     assert list(res.by_degree) == list(DEGREES)
     assert res.values == res.by_degree[4] and res.value == res.values[-1]
     assert all(len(v) == top + 1 for v in res.by_degree.values())
@@ -280,10 +280,10 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
     assert res.fixed_point_count == len(enumerate_fixed_points(top))
     # each degree equals a one-degree call, and the deeper truncation of the
     # shared series changes no shallower integral
-    shallow = integrate(replace(s, i=i), sp, h4_rule=h4_rule, degrees=DEGREES)
+    shallow = integrate(replace(s, i=i), sp, degrees=DEGREES)
     assert shallow.fixed_point_count == len(enumerate_fixed_points(i))
     for d in DEGREES:
-        single = integrate(replace(s, d=d), sp, h4_rule=h4_rule)
+        single = integrate(replace(s, d=d), sp)
         assert single.by_degree == {d: single.values} and single.values == res.by_degree[d]
         assert shallow.by_degree[d] == res.by_degree[d][: i + 1]
 
@@ -296,7 +296,7 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
         return parts
 
     monkeypatch.setattr(localization, "partitions", shuffled_partitions)
-    readouts = [localization._readout_terms(replace(s, d=d), h4_rule) for d in DEGREES]
+    readouts = [localization._readout_terms(replace(s, d=d)) for d in DEGREES]
     units = localization._plane_units(s, sp, sorted(readouts[0]), DEGREES)
     for d, readout, sums in zip(DEGREES, readouts, lifted_sums(reversed(units))):
         assert read_out(sums, readout, top) == res.by_degree[d]
@@ -329,21 +329,24 @@ def read_out(sums: dict, readout: dict, size: int) -> tuple:
 @pytest.mark.parametrize("mode", [P3, P2_FIXED])
 def test_plane_sums_are_free_of_the_specialization(mode, h4_rule):
     # the plane sum of a lifted line is the integral of H^p times the line's
-    # class, a number, and for x > delta, p >= 4 (the H^4 rule off), it is 0
+    # class, a number, and for x > delta, p >= 4 (read with the H^4 rule
+    # off, as nodal_counts checks them), it is 0
     s = IntegrandSpec(i=4, delta=4, d=6, mode=mode)
-    readout = localization._readout_terms(s, h4_rule)
+    xs = sorted(localization._readout_terms(s))
+    if not h4_rule:
+        xs += range(s.delta + 1, s.delta + 2 * s.i + 1)
     degrees = (6, 7)
     sums = [
-        lifted_sums(localization._plane_units(s, sp, sorted(readout), degrees))
+        lifted_sums(localization._plane_units(s, sp, xs, degrees))
         for sp in (SP, Specialization.from_seed(11), Specialization(RATIONAL_VALUES))
     ]
     assert sums[0] == sums[1] == sums[2]
     for d, at in zip(degrees, sums[0]):
-        assert {x for _, x in at} == set(readout)
+        assert {x for _, x in at} == set(xs)
         assert all(v == 0 for (_, x), v in at.items() if x > s.delta)
         assert any(at.values())
-        assert read_out(at, localization._readout_terms(replace(s, d=d), h4_rule), s.i) == (
-            integrate(replace(s, d=d), SP, h4_rule=h4_rule).values
+        assert read_out(at, localization._readout_terms(replace(s, d=d)), s.i) == (
+            integrate(replace(s, d=d), SP).values
         )
 
 
@@ -543,37 +546,51 @@ def test_fixed_plane_integrals_equal_the_reference_on_every_plane(monkeypatch, h
     reference = [_reference_integral(replace(s, i=i), sp, h4_rule) for i in range(s.i + 1)]
     for k in range(4):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        assert list(integrate(s, sp, h4_rule=h4_rule).values) == reference, k
+        assert list(integrate(s, sp).values) == reference, k
 
 
 @pytest.mark.parametrize("h4_rule", [True, False])
 def test_fixed_plane_integrals_at_shuffled_degrees_equal_on_every_plane(monkeypatch, h4_rule):
-    # twelve degrees, so that some are interpolated (E = 9 in p2 at delta = 4)
+    # twelve degrees, so that some are interpolated (E = 9 in p2 at delta = 4);
+    # with h4_rule off, the counts check every plane's lines past H^3 there
     s = IntegrandSpec(i=4, delta=4, d=6, mode=P2_FIXED)
     degrees = (8, 3, 11, 5, 14, 6, 9, 12, 4, 13, 7, 10)
-    assert t_degree_bound(s, h4_rule) + 1 < len(degrees)
-    fixed = integrate(s, SP, h4_rule=h4_rule, degrees=degrees).by_degree
+    assert t_degree_bound(s) + 1 < len(degrees)
+    fixed = integrate(s, SP, degrees=degrees).by_degree
+    counts = nodal_counts(s.delta, degrees, P2_FIXED)
     assert localization._FIXED_PLANE == 1
     for k in (0, 2, 3):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        assert integrate(s, SP, h4_rule=h4_rule, degrees=degrees).by_degree == fixed, k
+        assert integrate(s, SP, degrees=degrees).by_degree == fixed, k
+        assert nodal_counts(s.delta, degrees, P2_FIXED, h4_rule=h4_rule) == counts, k
+
+
+def unruled_readout(spec: IntegrandSpec) -> dict:
+    """The p3 readout without H^4 = 0: x = delta + t - s, weight sum c_s rho_t,
+    for every x <= delta + 2i."""
+    terms = {}
+    for s, _, c in incidence_terms(spec):
+        for t, r in enumerate(segre_coeffs(spec.d, 2 * spec.i + 3)):
+            x = spec.delta + t - s
+            if 0 <= x <= spec.delta + 2 * spec.i:
+                terms[x] = terms.get(x, 0) + c * r
+    return terms
 
 
 def test_readout_weights_are_one_integer_per_xi_degree():
-    # p3 reads x = delta + t - s, weight sum c_s rho_t, for every x <= delta
-    # + 2i; the H^4 rule is the truncation x <= delta; p2 reads x = delta
+    # p3 reads x = delta + t - s, weight sum c_s rho_t, for every x <= delta:
+    # the H^4 rule truncates the unruled readout there; p2 reads x = delta
     for delta in range(7):
         for d in range(delta + 1, delta + 9):
             s = IntegrandSpec(i=delta, delta=delta, d=d)
-            full = localization._readout_terms(s, False)
+            full = unruled_readout(s)
             assert sorted(full) == list(range(max(0, delta - 3), 3 * delta + 1))
-            assert all(type(c) is int for c in full.values())
-            ruled = {x: c for x, c in full.items() if x <= delta}
-            assert localization._readout_terms(s, True) == ruled
+            readout = localization._readout_terms(s)
+            assert sorted(readout) == list(range(max(0, delta - 3), delta + 1))
+            assert all(type(c) is int for c in readout.values())
+            assert readout == {x: c for x, c in full.items() if x <= delta}
             if s.n >= 6:
-                for h4_rule in (True, False):
-                    p2 = replace(s, mode=P2_FIXED)
-                    assert localization._readout_terms(p2, h4_rule) == {delta: 1}
+                assert localization._readout_terms(replace(s, mode=P2_FIXED)) == {delta: 1}
 
 
 def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
@@ -586,7 +603,7 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
     sp = Specialization(RATIONAL_VALUES)
     every = range(s.delta, s.delta + 2 * s.i + 1)
-    expected = integrate(s, sp, h4_rule=False).values
+    expected = integrate(s, sp).values
     read = []
     read_lines = localization._read_lines
     monkeypatch.setattr(
@@ -596,6 +613,8 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
         units = localization._plane_units(s, sp, list(every), (s.d,))
         assert len(units) == 1, k
+        [(_, euler, _, _, lifted)] = units
+        assert lifted == dict.fromkeys(every, euler), k  # each line weighed by e_k
         (sums,) = lifted_sums(units)
         assert read_out(sums, dict.fromkeys(every, 1), s.i) == expected, k
     assert len(read) == 4
@@ -605,6 +624,45 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
         ]
         assert all(c == 0 for line, _ in lines for x, c in line.items() if x > s.delta)
         assert any(line[s.delta] for line, _ in lines)
+
+
+@pytest.mark.parametrize("mode", [P3, P2_FIXED])
+def test_counts_with_the_lines_past_h_cubed_checked_equal_the_counts(mode):
+    # acceptance 7's grid, where a p2 count needs n >= 6 incidence points
+    n_min = 3 if mode == P3 else 6
+    grid = [
+        (delta, d)
+        for delta in range(4)
+        for d in range(1, 7)
+        if d * (d + 3) // 2 + 3 - delta >= n_min
+    ]
+    assert len(grid) == (23 if mode == P3 else 19)
+    for delta, d in grid:
+        assert count_nodal(delta, d, mode, h4_rule=False) == count_nodal(delta, d, mode), (delta, d)
+
+
+@pytest.mark.parametrize("mode, count", [(P3, 1721700), (P2_FIXED, 225)])
+def test_a_nonzero_line_past_h_cubed_raises(monkeypatch, mode, count):
+    # the lines x > delta enter no count, so a fault there shows only when
+    # nodal_counts checks them; the first nonzero line is named
+    read_lines = localization._read_lines
+
+    def bumped(top_alone):
+        def read(charts, lines, delta, top):
+            out = read_lines(charts, lines, delta, top)
+            for i, (line, _) in enumerate(out):
+                for x in line:
+                    if x > delta and (x == delta + 2 * i == top or not top_alone):
+                        line[x] += 1
+            return out
+
+        return read
+
+    for top_alone, first in ((False, r"\(4, \(1, 3\)\)"), (True, r"\(4, \(2, 6\)\)")):
+        monkeypatch.setattr(localization, "_read_lines", bumped(top_alone))
+        assert count_nodal(2, 4, mode) == count
+        with pytest.raises(ArithmeticError, match=rf"past H\^3, \(d, \(i, x\)\) = {first}"):
+            count_nodal(2, 4, mode, h4_rule=False)
 
 
 def unlifted_planes(spec: IntegrandSpec, sp: Specialization) -> list:
@@ -664,8 +722,7 @@ def test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integra
         # one plane's h one more breaks them
         (h, euler, lines), *rest = planes
         assert any(plane_sums([(h + 1, euler, lines), *rest], delta)), delta
-        for h4_rule in (True, False):
-            readout = localization._readout_terms(spec, h4_rule)
+        for readout in (localization._readout_terms(spec), unruled_readout(spec)):
             unlifted = [
                 sum(
                     c * h ** (3 + x - delta) * lines[i][x] / euler
@@ -675,7 +732,7 @@ def test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integra
                 )
                 for i in range(spec.i + 1)
             ]
-            assert list(integrate(spec, sp, h4_rule=h4_rule).values) == unlifted, (delta, h4_rule)
+            assert list(integrate(spec, sp).values) == unlifted, (delta, len(readout))
         # p2 reads H^3 on the line x = delta, lifted to the fixed plane alone
         p2 = integrate(replace(spec, mode=P2_FIXED), sp).values
         assert list(p2) == [
@@ -750,10 +807,10 @@ def test_top_size_pair_products_are_asked_for_the_top_line_alone(monkeypatch):
     assert asked.count((top, top)) == 4 * len(ds) * (size - 1)
 
 
-def t_degree_bound(spec: IntegrandSpec, h4_rule: bool) -> int:
+def t_degree_bound(spec: IntegrandSpec) -> int:
     """E: one more than the largest eps-degree a readout of ``spec`` takes
     from the three-chart product, which bounds the degree in d - d0."""
-    return 1 + spec.delta + 2 * spec.i - min(localization._readout_terms(spec, h4_rule))
+    return 1 + spec.delta + 2 * spec.i - min(localization._readout_terms(spec))
 
 
 # ten degrees in shuffled order, some below the first; with E = 7 for both,
@@ -771,19 +828,22 @@ BATCHES = [
 def test_batched_degrees_past_the_direct_ones_equal_one_degree_calls(
     spec, degrees, h4_rule, values
 ):
+    # with h4_rule off, the counts also check the lines past H^3 at every degree
     sp = SP if values is None else Specialization(values)
-    assert t_degree_bound(spec, h4_rule) + 1 < len(degrees)  # some degrees are interpolated
-    res = integrate(spec, sp, h4_rule=h4_rule, degrees=degrees)
+    assert t_degree_bound(spec) + 1 < len(degrees)  # some degrees are interpolated
+    res = integrate(spec, sp, degrees=degrees)
     assert list(res.by_degree) == list(degrees)
     for d in degrees:
-        assert res.by_degree[d] == integrate(replace(spec, d=d), sp, h4_rule=h4_rule).values, d
+        assert res.by_degree[d] == integrate(replace(spec, d=d), sp).values, d
+    counts = nodal_counts(spec.delta, degrees, spec.mode, specialization=sp, h4_rule=h4_rule)
+    assert counts.values == tuple(count_nodal(spec.delta, d, spec.mode) for d in degrees)
 
 
 def test_only_the_first_E_degrees_and_the_last_are_sheared(monkeypatch):
     # consecutive degrees from d0, so the j-th degree has t = d - d0 = j; at
     # every plane and chart, the shift of the shear is t times one slope
     spec = IntegrandSpec(i=2, delta=2, d=3)
-    bound = t_degree_bound(spec, True)
+    bound = t_degree_bound(spec)
     assert bound == 7
     shifts = []
     shear = localization._shear
@@ -806,7 +866,7 @@ def test_a_line_coefficient_of_degree_E_in_d_raises(monkeypatch):
     # a term t^(E - 1) added to one line coefficient at every direct degree
     # is interpolated exactly; a term t^E fails the check at the last degree
     spec = IntegrandSpec(i=2, delta=2, d=3)
-    bound = t_degree_bound(spec, True)
+    bound = t_degree_bound(spec)
     degrees = range(3, 3 + bound + 3)
     ts = list(range(bound)) + [len(degrees) - 1]  # of the direct degrees, per plane
     read_lines = localization._read_lines

@@ -165,17 +165,24 @@ def test_load_a_file_whose_record_disagrees_with_its_name(tmp_path, delta, mode)
         ("check_ds", []),
         ("seed", "0"),
         ("verified", "no"),
+        ("created_at", "yesterday"),
+        ("created_at", None),
+        ("created_at", [1]),
+        ("created_at", True),
+        ("created_at", float("nan")),
+        ("created_at", float("inf")),
+        ("delta", True),  # equal to 1, the record's delta
     ],
 )
 def test_load_a_record_with_a_malformed_field_is_a_miss(tmp_path, name, value):
-    path = store(small_record(), str(tmp_path))
-    assert load(0, "p3", str(tmp_path)) is not None
+    path = store(small_record(delta=1), str(tmp_path))
+    assert load(1, "p3", str(tmp_path)) is not None
     with open(path) as fh:
         payload = json.load(fh)
     payload[name] = value
     with open(path, "w") as fh:
         json.dump(payload, fh)
-    assert load(0, "p3", str(tmp_path)) is None
+    assert load(1, "p3", str(tmp_path)) is None
 
 
 def test_store_leaves_no_temp_file_when_the_rename_fails(tmp_path, monkeypatch):

@@ -1,9 +1,9 @@
 """Stretch validation beyond the acceptance targets.
 
 The delta=6 spot values (about 0.1 s each), the delta=5 polynomial
-reconstruction (about 0.4 s) and Goettsche's check of the fixed-plane
-polynomials for delta <= 8 (about 1 s), timed on 2 cores, run in every test
-run.
+reconstruction (about 0.3 s) and Goettsche's check of the fixed-plane
+polynomials for delta <= 10 (5-8 s, most of it the delta = 9 and 10
+polynomials), timed on 2 cores, run in every test run.
 """
 
 import pytest
@@ -27,11 +27,11 @@ def test_delta6_spot_values(d):
     assert count_nodal(6, d, jobs=default_jobs()) == expected
 
 
-def test_fixed_plane_polynomials_to_delta8_meet_goettsches_divisor_sum_series():
+def test_fixed_plane_polynomials_to_delta10_meet_goettsches_divisor_sum_series():
     # the d^2 part of log sum_k T_k(d) x^k at x = DG2(q) is 1/2 log(DG2/q)
-    # up to q^8; adding 1 to the d^2 coefficient of T_8 breaks it at q^8
-    polys = [node_polynomial(delta, P2_FIXED).polynomial for delta in range(9)]
+    # up to q^10; adding 1 to the d^2 coefficient of T_10 breaks it at q^10
+    polys = [node_polynomial(delta, P2_FIXED).polynomial for delta in range(11)]
     assert goettsche_p2_check(polys)
-    coeffs = list(polys[8].coeffs)
+    coeffs = list(polys[10].coeffs)
     coeffs[2] += 1
-    assert not goettsche_p2_check(polys[:8] + [UniPoly(coeffs)])
+    assert not goettsche_p2_check(polys[:10] + [UniPoly(coeffs)])

@@ -50,6 +50,7 @@ PLANE_SUMS = (
     "test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integral"
 )
 DEGREE_E = "tests/test_localization.py::test_a_line_coefficient_of_degree_E_in_d_raises"
+PAST_H3 = "tests/test_localization.py::test_a_nonzero_line_past_h_cubed_raises"
 
 MUTANTS = (
     Mutant(
@@ -183,12 +184,37 @@ MUTANTS = (
         ("tests/test_localization.py",),
     ),
     Mutant(
-        "lift-power-p-2",
+        "h4-check-disabled",
         LOCALIZATION,
-        "h[k] ** max(p - 3, 0)",
-        "h[k] ** max(p - 2, 0)",
-        "H^p lifts to H^max(p - 3, 0) times the class of J; the power is 0 at p = 3",
-        ("tests/test_localization.py",),
+        "    if not h4_rule:\n",
+        "    if False:\n",
+        "with the H^4 rule off, nodal_counts checks that the lines past H^3 are 0",
+        (PAST_H3,),
+    ),
+    Mutant(
+        "h4-check-top-line-dropped",
+        LOCALIZATION,
+        "range(delta + 1, 3 * delta + 1)",
+        "range(delta + 1, 3 * delta)",
+        "the check reaches the last line past H^3, x = 3 delta at i = delta",
+        (PAST_H3,),
+    ),
+    Mutant(
+        "lines-past-h3-on-no-plane",
+        LOCALIZATION,
+        "lift = order[4 - min(p, 3) :]",
+        "lift = order[max(4 - p, 0) :]",
+        "a line past H^3 lifts to the fixed plane alone, not to no plane",
+        (PAST_H3,),
+    ),
+    Mutant(
+        "readout-past-delta",
+        LOCALIZATION,
+        "segre_coeffs(spec.d, s)",
+        "segre_coeffs(spec.d, s + 1)",
+        "H^4 = 0 keeps the readout to x <= delta (t <= s); the lines past it are 0,"
+        " so only the readout test sees this",
+        ("tests/test_localization.py::test_readout_weights_are_one_integer_per_xi_degree",),
     ),
 )
 
