@@ -2,19 +2,23 @@
 
 The global sign and dualization conventions of the equivariant weights are
 not recoverable from first principles alone; they are pinned by fixtures
-that over-determine them.  Two independent fixture families are checked:
+that over-determine them.  Three independent fixture families are checked:
 
   * the twelve classical incidence classes nu_{d, delta, n} computed by the
     localization-free Chow-ring path must reproduce their known integer
     coefficients;
   * the localized count of smooth plane curves of degree d through the
     maximal number of general lines must match, for d = 1..5, the reference
-    values of the degree-zero count polynomial.
+    values of the degree-zero count polynomial;
+  * two localized one-nodal counts, one per mode, must match their classical
+    values.  A delta = 0 count reads only the integral for i = 0, which has
+    no partition, so these are the fixtures that read the Hilbert tangent
+    and tautological cell weights.
 
 A fixture whose computation raises ArithmeticError, as the localization
-does when a plane's Grassmannian Euler factor breaks its convention, fails
-the gate too.  Every command-line entry point runs this gate (it takes well
-under a second) before reporting any localization result.
+does when a count is not an integer, fails the gate too.  Every
+command-line entry point runs this gate (it takes a few milliseconds)
+before reporting any localization result.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .crosscheck import nu_class
+from .integrand import P2_FIXED, P3
 from .localization import nodal_counts
 
 NU_TABLE = {
@@ -42,6 +47,10 @@ NU_TABLE = {
 # smooth plane curves of degree 1..5 through the maximal number of general
 # lines in P^3 (values of the degree-zero count polynomial)
 SMOOTH_COUNTS = {1: 0, 2: 92, 3: 1500, 4: 11780, 5: 61880}
+
+# one-nodal counts per (mode, d): line pairs meeting 7 general lines in P^3,
+# and one-nodal plane cubics through 8 general points, 3(d - 1)^2
+ONE_NODAL_COUNTS = {(P3, 2): 140, (P2_FIXED, 3): 12}
 
 
 @dataclass(frozen=True)
@@ -67,6 +76,9 @@ def run_calibration(seed: int = 0) -> list[CalibrationCheck]:
     ds = sorted(SMOOTH_COUNTS)
     for d, got in zip(ds, nodal_counts(0, ds, seed=seed).values):
         checks.append(CalibrationCheck(f"smooth-count[d={d}]", SMOOTH_COUNTS[d], got))
+    for (mode, d), expected in ONE_NODAL_COUNTS.items():
+        (got,) = nodal_counts(1, (d,), mode, seed=seed).values
+        checks.append(CalibrationCheck(f"one-nodal-count[{mode},d={d}]", expected, got))
     return checks
 
 

@@ -89,7 +89,6 @@ from .weights import (
     NonGenericSpecialization,
     Specialization,
     chart_weights,
-    gr_tangent_weights,
     h_weight,
     hilb_tangent_exponents,
     taut_cell_weight,
@@ -97,14 +96,13 @@ from .weights import (
 
 @dataclass(frozen=True)
 class IntegralResult:
-    """What ``integrate`` returns.  ``fixed_point_count`` is the number of
-    torus-fixed points of the length-i Hilbert scheme at the largest i,
-    over all four planes, though a call evaluates only the planes that read
-    some line (see ``_plane_units``): fewer than four in p3 for
-    delta <= 2, one in p2."""
+    """What ``integrate`` returns.  ``by_degree[d][i]`` is the integral over
+    the length-i relative Hilbert scheme at degree d.  ``fixed_point_count``
+    is the number of torus-fixed points of the length-i Hilbert scheme at
+    the largest i, over all four planes, though a call evaluates only the
+    planes that read some line (see ``_plane_units``): fewer than four in p3
+    for delta <= 2, one in p2."""
 
-    value: Fraction
-    values: tuple[Fraction, ...]
     by_degree: dict[int, tuple[Fraction, ...]]
     fixed_point_count: int
 
@@ -393,14 +391,15 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
     has degree below the dimension, so it integrates to zero:
     sum_k h_k^q L_k(i, x) / e_k = 0.  The lift restricts to 0 at the planes
     of J, so plane k reads the line only if k is not in J, weighed by the
-    lift at h_k over its Grassmannian Euler factor e_k.  The weights rest on
-    e_k = prod_{j != k} (h_k - h_j), so an Euler factor that breaks it
-    raises ArithmeticError.  The first plane of the order reads x <= delta
-    (and x > delta, with weight e_k: see ``nodal_counts``), the next
-    x <= delta - 1, the next x <= delta - 2 and the last x = delta - 3
-    alone; a plane left with no line (delta <= 2) is not evaluated.  In p2
-    the readout {delta: 1} reads one line, at p = 3 (H^3 is the class of a
-    point): the lift's one-plane case, the fixed plane alone, e_k / e_k = 1.
+    lift at h_k over its Grassmannian Euler factor
+    e_k = prod_{j != k} (h_k - h_j): the tangent weights lambda_k / lambda_j
+    at V_k, in the hyperplane weights the lift is written in.  The first
+    plane of the order reads x <= delta (and x > delta, with weight e_k:
+    see ``nodal_counts``), the next x <= delta - 1, the next
+    x <= delta - 2 and the last x = delta - 3 alone; a plane left with no
+    line (delta <= 2) is not evaluated.  In p2 the readout {delta: 1} reads
+    one line, at p = 3 (H^3 is the class of a point): the lift's one-plane
+    case, the fixed plane alone, e_k / e_k = 1.
 
     Evaluating the tangent weights of the units' charts here is the one
     genericity check: a non-generic draw raises before any cell product and
@@ -423,9 +422,7 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
     units = []
     for k in order:
         # nonzero: each factor is a difference of two of the pairwise distinct values
-        euler = prod(value(w) for w in gr_tangent_weights(k))
-        if euler != prod(h[k] - h[j] for j in range(4) if j != k):
-            raise ArithmeticError(f"convention fault: the Euler factor of V_{k} is {euler}")
+        euler = prod(h[k] - h[j] for j in range(4) if j != k)
         lifted = {}
         for x in xs:
             p = 3 + x - spec.delta
@@ -499,8 +496,7 @@ def integrate(
     all from one set of chart series per plane.
 
     ``by_degree[d][i]`` is the integral over the length-i relative Hilbert
-    scheme at degree d; ``values`` is ``by_degree[spec.d]``, so ``degrees``
-    must include spec.d, and ``value`` the last of them.
+    scheme at degree d, and ``degrees`` must include spec.d.
     ``fixed_point_count`` counts the fixed points at spec.i over all four
     planes.  One call evaluates everything a count, or the samples of a
     node polynomial, need.  The plane-independent work is done once
@@ -571,13 +567,7 @@ def integrate(
         )
         for d in degrees
     }
-    values = by_degree[spec.d]
-    return IntegralResult(
-        value=values[-1],
-        values=values,
-        by_degree=by_degree,
-        fixed_point_count=points,
-    )
+    return IntegralResult(by_degree=by_degree, fixed_point_count=points)
 
 
 # -- the count ----------------------------------------------------------------------
@@ -688,9 +678,14 @@ def nodal_counts(
 
 
 def count_nodal(delta: int, d: int, mode: str = P3, **options) -> int:
-    """Number of delta-nodal plane curves of degree d meeting the incidence
+    """The degree of the paper's class gamma against the incidence
     conditions (general lines in p3 mode; general points in a fixed plane in
-    p2 mode).
+    p2 mode) for delta nodes and degree d.
+
+    Under the paper's ampleness assumption that is the number of delta-nodal
+    plane curves of degree d meeting them; in p2 it is for d >= delta/2 + 1
+    (Fomin-Mikhalkin, arXiv:0906.3828).  Outside that range the value is
+    still exact but need not count curves: count_nodal(4, 2) is -5120.
 
     The keyword options are those of ``nodal_counts``.
     """

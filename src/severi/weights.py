@@ -11,14 +11,17 @@ which is the first-Chern-class evaluation the residue formula needs
 (elementary symmetric functions of the specialized weights are then the
 specialized equivariant Chern classes of the bundle at the point).
 
-Convention set (fixed once, validated by the calibration suite):
+Convention set (fixed once; the calibration gate's one-nodal counts read
+the Hilbert tangent and tautological cell weights, so a dualized one fails
+there):
 
   * chart coordinates of the plane V_k at its fixed point P_m are
     u = x_p/x_m, v = x_q/x_m with {p, q} the two remaining indices, p < q;
     the torus scales the coordinate ring by t1 = lambda_m/lambda_p and
     t2 = lambda_m/lambda_q;
   * the tangent space of the Grassmannian at V_k has the three weights
-    lambda_k/lambda_j, j != k;
+    lambda_k/lambda_j, j != k (the count path takes their product as
+    prod_{j != k} (h_k - h_j) in the hyperplane weights below);
   * the tangent space of the Hilbert scheme of the plane at the monomial
     ideal of mu contributes, for each cell with arm A and leg L, the pair
     t1^{-(A+1)} t2^{L} and t1^{A} t2^{-(L+1)};

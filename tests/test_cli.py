@@ -297,7 +297,7 @@ def test_poly_json_is_byte_identical_from_the_cache_and_across_fresh_caches(
 def test_check_calibration_section(capsys):
     code, out, _ = run(capsys, "check", "--only", "calibration")
     assert code == 0
-    assert "17/17 pass" in out
+    assert "19/19 pass" in out
     assert "ALL PASS" in out
 
 
@@ -382,18 +382,74 @@ def test_check_json_shape(capsys):
     assert code == 0 and payload["passed"] is True
 
 
+def fails_one_case(capsys, section: str, name: str) -> None:
+    """``check --only section`` fails the case ``name`` alone, in its JSON
+    and in its text, and exits 1."""
+    code, out, _ = run(capsys, "check", "--only", section, "--json")
+    payload = json.loads(out)
+    (cases,) = [s["cases"] for s in payload["sections"]]
+    assert code == 1 and payload["passed"] is False
+    assert [case["name"] for case in cases if not case["ok"]] == [name]
+    code, out, _ = run(capsys, "check", "--only", section)
+    assert code == 1 and f"FAIL {name}:" in out and out.endswith("FAILURES PRESENT\n")
+
+
+def test_check_tables_fails_on_a_wrong_localized_count(capsys, monkeypatch):
+    # the combinatorial count still equals the table; the localized one does not
+    import severi.cli as cli
+
+    real = cli.count_nodal
+
+    def off_by_one(delta, d, *args, **kwargs):
+        return real(delta, d, *args, **kwargs) + ((delta, d) == (3, 3))
+
+    monkeypatch.setattr(cli, "count_nodal", off_by_one)
+    fails_one_case(capsys, "tables", "N[3,3]")
+
+
+def test_check_dualspec_fails_on_an_arithmetic_error(capsys, monkeypatch):
+    import severi.cli as cli
+
+    real = cli.count_nodal
+
+    def disagreeing(delta, d, mode, **kwargs):
+        if (mode, delta, d) == (P2_FIXED, 1, 3):
+            raise ArithmeticError("specialization disagreement at d=3, i=1")
+        return real(delta, d, mode, **kwargs)
+
+    monkeypatch.setattr(cli, "count_nodal", disagreeing)
+    fails_one_case(capsys, "dualspec", "dualspec[p2,1,3]")
+
+
+def test_check_weights_fails_on_an_oracle_mismatch(capsys, monkeypatch):
+    import severi.oracles as oracles
+
+    real = oracles.hilb_weights_match_oracle
+
+    def mismatched(mu, *args):
+        return real(mu, *args) and mu != (2, 1)
+
+    monkeypatch.setattr(oracles, "hilb_weights_match_oracle", mismatched)
+    fails_one_case(capsys, "weights", "hom-oracle[[2, 1]]")
+
+
 def test_fault_injection_fails_calibration(capsys, monkeypatch):
-    # dualize the Grassmannian tangent weights: every localized count flips
-    # sign, and the calibration gate must fail before reporting anything
-    import severi.weights as weights
-
-    def dualized(plane):
-        return [tuple(-x for x in c) for c in weights.gr_tangent_weights(plane)]
-
-    monkeypatch.setattr(localization, "gr_tangent_weights", dualized)
-    code, out, err = run(capsys, "count", "--delta", "0", "--degree", "2")
-    assert code == 1
-    assert "calibration" in err
+    # dualize the Hilbert tangent weights (every exponent pair negated) or
+    # the tautological cell weights: the delta = 0 fixtures read neither, so
+    # a one-nodal fixture must fail the gate before anything is reported
+    # (ungated, this count prints 1260 or 36, not 140)
+    hilb, taut = localization.hilb_tangent_exponents, localization.taut_cell_weight
+    dualized = {
+        "hilb_tangent_exponents": lambda mu: [(-a, -b) for a, b in hilb(mu)],
+        "taut_cell_weight": lambda *args: tuple(-x for x in taut(*args)),
+    }
+    for name, fault in dualized.items():
+        calibrate._calibrated = False
+        with monkeypatch.context() as patch:
+            patch.setattr(localization, name, fault)
+            code, out, err = run(capsys, "count", "--delta", "1", "--degree", "2", "--json")
+        assert code == 1 and out == "", name
+        assert err.startswith("error: calibration fixture one-nodal-count[p3,d=2] failed"), name
 
 
 def test_verification_failure_exits_1(capsys, monkeypatch, tmp_path):

@@ -27,20 +27,25 @@ NON_GENERIC = Specialization((2, 3, 5, 7))
 RATIONAL_VALUES = (Fraction(1, 2), 3, Fraction(7, 3), 5)
 
 
+def integrals(spec: IntegrandSpec, sp: Specialization, **options) -> tuple:
+    """The integrals for i = 0..spec.i at spec.d."""
+    return integrate(spec, sp, **options).by_degree[spec.d]
+
+
 def test_integrate_smooth_conic():
     res = integrate(IntegrandSpec(i=0, delta=0, d=2), SP)
-    assert res.value == 92
+    assert res.by_degree == {2: (92,)}
     assert res.fixed_point_count == 4
 
 
 def test_integrate_line_case_vanishes():
-    assert integrate(IntegrandSpec(i=0, delta=0, d=1), SP).value == 0
+    assert integrals(IntegrandSpec(i=0, delta=0, d=1), SP)[-1] == 0
 
 
 def test_integrate_two_specializations_agree():
     s = IntegrandSpec(i=1, delta=1, d=2)
-    a = integrate(s, SP).value
-    b = integrate(s, Specialization.from_seed(421)).value
+    a = integrals(s, SP)[-1]
+    b = integrals(s, Specialization.from_seed(421))[-1]
     assert a == b
 
 
@@ -87,8 +92,8 @@ def test_shuffle_invariance():
 
 def test_parallel_matches_serial():
     s = IntegrandSpec(i=2, delta=2, d=3)
-    serial = integrate(s, SP, jobs=1).value
-    parallel = integrate(s, SP, jobs=2).value
+    serial = integrals(s, SP, jobs=1)[-1]
+    parallel = integrals(s, SP, jobs=2)[-1]
     assert serial == parallel
     assert count_nodal(2, 3, jobs=2) == 15660
 
@@ -183,12 +188,12 @@ def test_process_pool_is_capped_at_the_four_plane_units(monkeypatch):
     monkeypatch.setitem(vars(localization), "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(localization, "_POOL_WORK", 0)
     s = IntegrandSpec(i=3, delta=3, d=4)
-    serial = integrate(s, SP).values
-    assert integrate(s, SP, jobs=64).values == serial
-    assert integrate(s, SP, jobs=3).values == serial
+    serial = integrals(s, SP)
+    assert integrals(s, SP, jobs=64) == serial
+    assert integrals(s, SP, jobs=3) == serial
     # at delta = 2 the last plane of the lift order reads no line
     shallow = IntegrandSpec(i=2, delta=2, d=4)
-    assert integrate(shallow, SP, jobs=64).values == integrate(shallow, SP).values
+    assert integrals(shallow, SP, jobs=64) == integrals(shallow, SP)
     assert asked == [4, 3, 3]
 
 
@@ -271,9 +276,8 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
     s = IntegrandSpec(i=top, delta=5, d=4, mode=mode)
     res = integrate(s, sp, degrees=DEGREES)
     assert list(res.by_degree) == list(DEGREES)
-    assert res.values == res.by_degree[4] and res.value == res.values[-1]
     assert all(len(v) == top + 1 for v in res.by_degree.values())
-    assert res.values[i] == _reference_integral(replace(s, i=i), sp, h4_rule)
+    assert res.by_degree[4][i] == _reference_integral(replace(s, i=i), sp, h4_rule)
     if i <= 2:
         for d in DEGREES:
             assert res.by_degree[d][i] == _reference_integral(replace(s, i=i, d=d), sp, h4_rule)
@@ -284,7 +288,7 @@ def test_factorized_evaluator_equals_symbolic_reference(monkeypatch, mode, i, h4
     assert shallow.fixed_point_count == len(enumerate_fixed_points(i))
     for d in DEGREES:
         single = integrate(replace(s, d=d), sp)
-        assert single.by_degree == {d: single.values} and single.values == res.by_degree[d]
+        assert single.by_degree == {d: res.by_degree[d]}
         assert shallow.by_degree[d] == res.by_degree[d][: i + 1]
 
     # reversed plane order and a shuffled partition order at every chart
@@ -346,7 +350,7 @@ def test_plane_sums_are_free_of_the_specialization(mode, h4_rule):
         assert all(v == 0 for (_, x), v in at.items() if x > s.delta)
         assert any(at.values())
         assert read_out(at, localization._readout_terms(replace(s, d=d)), s.i) == (
-            integrate(replace(s, d=d), SP).values
+            integrals(replace(s, d=d), SP)
         )
 
 
@@ -372,7 +376,7 @@ def test_chart_series_without_d_are_built_once_per_plane_per_call(monkeypatch):
     builds.clear()
     shears.clear()
     for d in ds:
-        assert integrate(replace(s, d=d), SP).values == res.by_degree[d]
+        assert integrals(replace(s, d=d), SP) == res.by_degree[d]
     assert len(builds) == 12 * len(ds)
     assert shears == []
 
@@ -546,7 +550,7 @@ def test_fixed_plane_integrals_equal_the_reference_on_every_plane(monkeypatch, h
     reference = [_reference_integral(replace(s, i=i), sp, h4_rule) for i in range(s.i + 1)]
     for k in range(4):
         monkeypatch.setattr(localization, "_FIXED_PLANE", k)
-        assert list(integrate(s, sp).values) == reference, k
+        assert list(integrals(s, sp)) == reference, k
 
 
 @pytest.mark.parametrize("h4_rule", [True, False])
@@ -603,7 +607,7 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
     s = IntegrandSpec(i=4, delta=4, d=5, mode=P2_FIXED)
     sp = Specialization(RATIONAL_VALUES)
     every = range(s.delta, s.delta + 2 * s.i + 1)
-    expected = integrate(s, sp).values
+    expected = integrals(s, sp)
     read = []
     read_lines = localization._read_lines
     monkeypatch.setattr(
@@ -663,6 +667,25 @@ def test_a_nonzero_line_past_h_cubed_raises(monkeypatch, mode, count):
         assert count_nodal(2, 4, mode) == count
         with pytest.raises(ArithmeticError, match=rf"past H\^3, \(d, \(i, x\)\) = {first}"):
             count_nodal(2, 4, mode, h4_rule=False)
+
+
+@pytest.mark.parametrize(
+    "sp",
+    [SP, Specialization.from_seed(11), Specialization(RATIONAL_VALUES)],
+    ids=["default", "seeded", "rational"],
+)
+def test_grassmannian_euler_factor_is_the_product_of_hyperplane_weight_differences(sp):
+    # the count path takes e_k = prod_{j != k} (h_k - h_j), in the weights h
+    # its lift is written in; that is the product of the tangent weights of
+    # the Grassmannian at V_k
+    h = [sp.value(h_weight(k)) for k in range(4)]
+    eulers = [prod(sp.value(w) for w in gr_tangent_weights(k)) for k in range(4)]
+    assert eulers == [prod(h[k] - h[j] for j in range(4) if j != k) for k in range(4)]
+    # the plane units carry it in the integer torus values, scale^3 times it
+    scale = lcm(*(v.denominator for v in sp.values))
+    s = IntegrandSpec(i=3, delta=3, d=4)
+    units = localization._plane_units(s, sp, sorted(localization._readout_terms(s)), (4,))
+    assert sorted(euler for _, euler, *_ in units) == sorted(e * scale**3 for e in eulers)
 
 
 def unlifted_planes(spec: IntegrandSpec, sp: Specialization) -> list:
@@ -732,9 +755,9 @@ def test_plane_sums_below_the_read_power_vanish_and_the_lift_keeps_every_integra
                 )
                 for i in range(spec.i + 1)
             ]
-            assert list(integrate(spec, sp).values) == unlifted, (delta, len(readout))
+            assert list(integrals(spec, sp)) == unlifted, (delta, len(readout))
         # p2 reads H^3 on the line x = delta, lifted to the fixed plane alone
-        p2 = integrate(replace(spec, mode=P2_FIXED), sp).values
+        p2 = integrals(replace(spec, mode=P2_FIXED), sp)
         assert list(p2) == [
             sum(h**3 * lines[i][delta] / euler for h, euler, lines in planes)
             for i in range(spec.i + 1)
@@ -780,7 +803,7 @@ def test_top_size_entries_are_kept_on_the_read_line_alone(monkeypatch):
             if len(series[size][0]) > 1:
                 assert degrees(series[size][0]) == {top}, name
                 assert min(degrees(series[size - 1][0])) < top - 1, name
-    assert res.by_degree[5] == integrate(replace(s, d=5), SP).values
+    assert res.by_degree[5] == integrals(replace(s, d=5), SP)
 
 
 def test_top_size_pair_products_are_asked_for_the_top_line_alone(monkeypatch):
@@ -834,7 +857,7 @@ def test_batched_degrees_past_the_direct_ones_equal_one_degree_calls(
     res = integrate(spec, sp, degrees=degrees)
     assert list(res.by_degree) == list(degrees)
     for d in degrees:
-        assert res.by_degree[d] == integrate(replace(spec, d=d), sp).values, d
+        assert res.by_degree[d] == integrals(replace(spec, d=d), sp), d
     counts = nodal_counts(spec.delta, degrees, spec.mode, specialization=sp, h4_rule=h4_rule)
     assert counts.values == tuple(count_nodal(spec.delta, d, spec.mode) for d in degrees)
 

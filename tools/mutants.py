@@ -51,6 +51,10 @@ PLANE_SUMS = (
 )
 DEGREE_E = "tests/test_localization.py::test_a_line_coefficient_of_degree_E_in_d_raises"
 PAST_H3 = "tests/test_localization.py::test_a_nonzero_line_past_h_cubed_raises"
+CLI = "src/severi/cli.py"
+CALIBRATE = "src/severi/calibrate.py"
+GATE_FAULTS = "tests/test_cli.py::test_fault_injection_fails_calibration"
+WEIGHTS_MISMATCH = "tests/test_cli.py::test_check_weights_fails_on_an_oracle_mismatch"
 
 MUTANTS = (
     Mutant(
@@ -215,6 +219,66 @@ MUTANTS = (
         "H^4 = 0 keeps the readout to x <= delta (t <= s); the lines past it are 0,"
         " so only the readout test sees this",
         ("tests/test_localization.py::test_readout_weights_are_one_integer_per_xi_degree",),
+    ),
+    Mutant(
+        "euler-sign",
+        LOCALIZATION,
+        "euler = prod(h[k] - h[j] for j in range(4) if j != k)",
+        "euler = prod(h[j] - h[k] for j in range(4) if j != k)",
+        "e_k = prod_{j != k} (h_k - h_j), the product the lift weights assume",
+        (
+            "tests/test_localization.py::"
+            "test_grassmannian_euler_factor_is_the_product_of_hyperplane_weight_differences",
+            "tests/test_cli.py::test_check_calibration_section",
+        ),
+    ),
+    Mutant(
+        "one-nodal-fixtures-dropped",
+        CALIBRATE,
+        "ONE_NODAL_COUNTS = {(P3, 2): 140, (P2_FIXED, 3): 12}",
+        "ONE_NODAL_COUNTS = {}",
+        "the delta = 1 fixtures are the only ones that read a tangent or cell weight",
+        (GATE_FAULTS,),
+    ),
+    Mutant(
+        "gate-ignores-wrong-fixture",
+        CALIBRATE,
+        "        if not check.ok:",
+        "        if False:",
+        "the gate raises on the first fixture whose value is wrong",
+        (GATE_FAULTS,),
+    ),
+    Mutant(
+        "check-tables-ignores-localized",
+        CLI,
+        '"ok": combinatorial == expected == localized,',
+        '"ok": combinatorial == expected,',
+        "a table case needs the localized count to equal the table too",
+        ("tests/test_cli.py::test_check_tables_fails_on_a_wrong_localized_count",),
+    ),
+    Mutant(
+        "check-dualspec-fault-passes",
+        CLI,
+        "            except ArithmeticError:\n                ok = False",
+        "            except ArithmeticError:\n                ok = True",
+        "a dualspec case whose count raises ArithmeticError fails",
+        ("tests/test_cli.py::test_check_dualspec_fails_on_an_arithmetic_error",),
+    ),
+    Mutant(
+        "check-exit-always-0",
+        CLI,
+        "return 0 if all_ok else 1",
+        "return 0",
+        "check exits 1 when a case fails",
+        (WEIGHTS_MISMATCH,),
+    ),
+    Mutant(
+        "check-weights-always-ok",
+        CLI,
+        '"name": f"hom-oracle[{list(mu)}]", "ok": ok}',
+        '"name": f"hom-oracle[{list(mu)}]", "ok": True}',
+        "a weights case fails when the Hom oracle disagrees at some chart",
+        (WEIGHTS_MISMATCH,),
     ),
 )
 
