@@ -67,9 +67,9 @@ work clears a fixed bound (see ``integrate``); exact sums make any order
 give the identical result.
 
 The full count for (delta, d) is the linear combination of the integrals
-for i = 0..delta with the unitriangular-inverse weights, summed as integers
-over one common denominator; the combination is always an integer and that
-is asserted, never rounded.
+for i = 0..delta with the unitriangular-inverse weights, summed as
+fractions; the combination is always an integer and that is asserted,
+never rounded.
 """
 
 from __future__ import annotations
@@ -320,11 +320,12 @@ def _pair_sums(first, second, top: int) -> list:
     return sums
 
 
-def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, int]]:
-    """Per i = 0..size, the xi^x eps^(delta + 2i - x) coefficient of the
-    product of the plane's three chart series, each as (numerator, denominator),
-    for every x of ``lines[i]``: {x: numerator} and one denominator per i,
-    which does not depend on d.
+def _read_lines(charts, xs, delta: int, top: int) -> tuple[dict, int]:
+    """The xi^x eps^e coefficient, e = delta + 2i - x, of the product of the
+    plane's three chart series, each as (numerator, denominator), for every
+    i = 0..size and every x of ``xs`` with e >= 0: {(i, x): numerator} and
+    one denominator, the lcm over every pair of sizes, which does not
+    depend on d.
 
     W[s] (see ``_pair_sums``) feeds every i >= s through the line of
     W[s]*Z3[i - s]; a readout of W[s]*Z3[0] is a lookup.  So W[size] and
@@ -333,20 +334,19 @@ def _read_lines(charts, lines: list, delta: int, top: int) -> list[tuple[dict, i
     first, second, third = charts
     sums = _pair_sums(first, second, top)
     thirds = [[row[::-1] for row in grid] for grid, _ in third]
-    out = []
-    for i, xs in enumerate(lines):
-        parts = []
-        for s in range(i + 1):
-            (grid, d12), c = sums[s], i - s
-            if c:
-                nums = [_coefficient(grid, thirds[c], x, delta + 2 * i - x) for x in xs]
-            else:
-                nums = [grid[x][delta + 2 * i - x] for x in xs]
-            parts.append((nums, d12 * third[c][1]))
-        common = lcm(*(d for _, d in parts))
-        scaled = [[n * (common // d) for n in nums] for nums, d in parts]
-        out.append((dict(zip(xs, map(sum, zip(*scaled)))), common))
-    return out
+    size = len(third) - 1
+    common = lcm(*(d12 * d3 for s, (_, d12) in enumerate(sums) for _, d3 in third[: size + 1 - s]))
+    out = {}
+    for i in range(size + 1):
+        scales = [common // (sums[s][1] * third[i - s][1]) for s in range(i + 1)]
+        for x in xs:
+            e = delta + 2 * i - x
+            if e >= 0:
+                out[i, x] = sum(
+                    scale * (_coefficient(grid, thirds[i - s], x, e) if i - s else grid[x][e])
+                    for s, ((grid, _), scale) in enumerate(zip(sums, scales))
+                )
+    return out, common
 
 
 def _interpolated(direct: list[dict], nodes: list[int], t: int) -> dict:
@@ -381,8 +381,8 @@ _FIXED_PLANE = 1
 def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, degrees) -> list:
     """The ``_plane_integrals`` arguments of the planes a call evaluates,
     prepared once per call from the xi-degrees ``xs`` its readout reads and
-    its direct degrees (see ``integrate``).  ``lines[i]`` holds the
-    x <= delta + 2i the plane reads, ``lifted[x]`` its weight of the line x.
+    its direct degrees (see ``integrate``).  The keys of ``lifted`` are the
+    xi-degrees x the plane reads, ``lifted[x]`` its weight of the line x.
 
     The line x is read with H^p, p = 3 + x - delta, lifted to
     prod_{j in J} (H - h_j), J the last min(p, 3) planes of the lift order:
@@ -431,24 +431,23 @@ def _plane_units(spec: IntegrandSpec, specialization: Specialization, xs: list, 
                 lifted[x] = prod(h[k] - h[j] for j in lift)
         if not lifted:
             continue
-        lines = [[x for x in lifted if x <= spec.delta + 2 * i] for i in range(spec.i + 1)]
         charts = []
         for m in plane_points(k):
             tangents = _chart_tangents(k, m, exponents, value)
             weights = {cell: value(taut_cell_weight(k, m, cell, d0)) for cell in cells}
             w0, w1 = (value(taut_cell_weight(k, m, (0, 0), d)) for d in (d0, d0 + 1))
             charts.append((tangents, weights, [(d - d0) * (w1 - w0) for d in degrees]))
-        units.append((charts, euler, spec.delta, lines, lifted))
+        units.append((charts, euler, spec.delta, spec.i, lifted))
     return units
 
 
-def _plane_integrals(charts: list, euler: int, delta: int, lines: list, lifted: dict) -> tuple:
+def _plane_integrals(charts: list, euler: int, delta: int, size: int, lifted: dict) -> tuple:
     """One plane's lifted lines at the direct degrees of a call, given its
     three charts as (tangent values, cell weights at d0, shift per direct
-    degree), its Grassmannian Euler factor, the xi-degrees ``lines[i]`` read
-    per i and each line's lift weight (see ``_plane_units``): a denominator
-    per i, free of d, Euler factor included, and per direct degree
-    {(i, x): numerator} of lifted[x] L(i, x).
+    degree), its Grassmannian Euler factor, the largest i and each read
+    line's lift weight (see ``_plane_units``): one denominator, free of d,
+    Euler factor included, and per direct degree {(i, x): numerator} of
+    lifted[x] L(i, x) for every i <= size and x <= delta + 2i read.
 
     The chern factors and chart series are computed once, the series at d0,
     and sheared to each direct degree by ``_shear``.  A chart that is
@@ -456,11 +455,9 @@ def _plane_integrals(charts: list, euler: int, delta: int, lines: list, lifted: 
     moves xi-degree into eps-degree; the others keep only the rows that are
     read.
     """
-    size = len(lines) - 1
     top = delta + 2 * size
-    reads = [(i, x) for i, xs in enumerate(lines) for x in xs]
-    rows = max(x for _, x in reads) + 1
-    cols = max(delta + 2 * i - x for i, x in reads) + 1
+    rows = max(lifted) + 1
+    cols = top - min(lifted) + 1
     bases = []
     for tangents, weights, shifts in charts:
         factors = _chern_factors(tangents, size)
@@ -469,11 +466,9 @@ def _plane_integrals(charts: list, euler: int, delta: int, lines: list, lifted: 
     numerators = []
     for j in range(len(charts[0][2])):
         sheared = [_shear(series, shifts[j], rows, top) for series, shifts in bases]
-        read = _read_lines(sheared, lines, delta, top)
-        numerators.append(
-            {(i, x): lifted[x] * n for i, (line, _) in enumerate(read) for x, n in line.items()}
-        )
-    return [common * euler for _, common in read], numerators
+        read, common = _read_lines(sheared, lifted, delta, top)
+        numerators.append({(i, x): lifted[x] * n for (i, x), n in read.items()})
+    return common * euler, numerators
 
 
 # the work estimate of ``integrate`` (fixed points at spec.i times direct
@@ -510,8 +505,8 @@ def integrate(
     so a line coefficient xi^x eps^e is an integer polynomial in t of degree
     at most e over a denominator free of d, and so is the numerator of the
     plane sum M(i, x, d) = sum_k lift_k(x) L_k(i, x) / e_k over one
-    denominator per i (M is the integral of H^p times the line's class, free
-    of the specialization).  With E one more than the largest e read
+    denominator per call (M is the integral of H^p times the line's class,
+    free of the specialization).  With E one more than the largest e read
     (min(3*delta + 1, 2*delta + 4) in p3 and 2*delta + 1 in p2, at
     i = delta), the first E degrees and the last are direct; the plane sums
     at the others are interpolated in t from the first E (``_interpolated``),
@@ -546,14 +541,14 @@ def integrate(
         # beyond the plane units would only be forked to idle
         with sys.modules[__name__].ProcessPoolExecutor(max_workers=min(jobs, len(units))) as pool:
             parts = list(pool.map(_plane_integrals, *args))
-    # the numerators of M(i, x, d) at the direct degrees, one denominator per i
-    denominators = [lcm(*column) for column in zip(*(dens for dens, _ in parts))]
+    # the numerators of M(i, x, d) at the direct degrees, over one denominator
+    denominator = lcm(*(den for den, _ in parts))
     sums = [{} for _ in direct]
-    for dens, numerators in parts:
-        scales = [common // den for common, den in zip(denominators, dens)]
+    for den, numerators in parts:
+        scale = denominator // den
         for total, lines in zip(sums, numerators):
-            for (i, x), n in lines.items():
-                total[i, x] = total.get((i, x), 0) + n * scales[i]
+            for key, n in lines.items():
+                total[key] = total.get(key, 0) + n * scale
     at = dict(zip(direct, sums))
     nodes = [d - direct[0] for d in direct[:e]]
     for d in degrees[e:]:
@@ -562,8 +557,8 @@ def integrate(
             raise ArithmeticError(f"a plane sum is not of degree below {e} in d")
     by_degree = {
         d: tuple(
-            Fraction(sum(readouts[d][x] * n for (j, x), n in at[d].items() if j == i), common)
-            for i, common in enumerate(denominators)
+            Fraction(sum(readouts[d][x] * n for (j, x), n in at[d].items() if j == i), denominator)
+            for i in range(spec.i + 1)
         )
         for d in degrees
     }
@@ -661,19 +656,10 @@ def nodal_counts(
                 raise ArithmeticError(f"a line past H^3, (d, (i, x)) = {nonzero[0]}, is not 0")
     counts = []
     for d in ds:
-        # one integer sum over the integrals' common denominator
-        integrals = result.by_degree[d]
-        common = lcm(*(v.denominator for v in integrals))
-        total = sum(
-            a * v.numerator * (common // v.denominator)
-            for a, v in zip(bps_coefficients(delta, genus(d)), integrals)
-        )
-        count, rest = divmod(total, common)
-        if rest:
-            raise ArithmeticError(
-                f"convention or arithmetic fault: non-integer count {Fraction(total, common)}"
-            )
-        counts.append(count)
+        count = sum(map(mul, bps_coefficients(delta, genus(d)), result.by_degree[d]))
+        if count.denominator != 1:
+            raise ArithmeticError(f"convention or arithmetic fault: non-integer count {count}")
+        counts.append(count.numerator)
     return Counts(tuple(counts), used)
 
 

@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
 
-from .integrand import IntegrandSpec, _sym_chern_coeffs, incidence_terms, segre_coeffs
+from .integrand import IntegrandSpec, incidence_terms, segre_coeffs
 from .partitions import FixedPoint, enumerate_fixed_points, plane_points
 from .rationals import rat
 from .weights import (
@@ -259,20 +259,6 @@ def eval_graded(p: GradedPoly, assignment: dict) -> Fraction:
 
 
 # -- the builder ------------------------------------------------------------------
-
-
-def h_only_table() -> SymbolTable:
-    return SymbolTable([Symbol("H", 1, 4)])
-
-
-def sym_chern(d: int) -> GradedPoly:
-    """Total Chern class of the direct image of O_S(d), as a polynomial in H."""
-    table = h_only_table()
-    coeffs = _sym_chern_coeffs(d)
-    out = GradedPoly.zero(table)
-    for k, c in enumerate(coeffs):
-        out = out + GradedPoly.monomial(table, {"H": k}, c)
-    return out
 
 
 def symbol_table(i: int) -> SymbolTable:

@@ -16,8 +16,6 @@ from severi.reference import (
     GradedPoly,
     TruncationRules,
     build_integrand,
-    h_only_table,
-    sym_chern,
     symbol_table,
 )
 
@@ -85,37 +83,20 @@ def test_one_minus_q_power_equals_repeated_series_products():
 
 
 def test_sym_chern_d1():
-    table = h_only_table()
-    expected = GradedPoly.constant(table, 1)
-    for k in range(1, 4):
-        expected = expected + GradedPoly.monomial(table, {"H": k})
-    assert sym_chern(1) == expected
-
-
-def test_sym_chern_d1_is_inverse_of_one_minus_h():
     # rank-3 direct image for d = 1: total Chern class is forced by the
     # dual tautological sequence to be 1/(1 - H) truncated at H^4 = 0
-    table = h_only_table()
-    geo = GradedPoly.constant(table, 1)
-    for k in range(1, 4):
-        geo = geo + GradedPoly.monomial(table, {"H": k})  # 1 + H + H^2 + H^3
-    assert sym_chern(1) == geo
+    assert _sym_chern_coeffs(1) == (1, 1, 1, 1)
 
 
 def test_sym_chern_d2():
     # plugging d = 2 into the closed formula: (1, 4, 10, 20)
-    p = sym_chern(2)
-    coeffs = {exps[0]: c for exps, c in p.terms.items()}
-    assert coeffs == {0: 1, 1: 4, 2: 10, 3: 20}
+    assert _sym_chern_coeffs(2) == (1, 4, 10, 20)
 
 
 def test_segre_coeffs_invert_chern():
     # sum_j c_j s_{t-j} = 0 for t >= 1
     for d in (1, 2, 3, 5):
-        c = [Fraction(1)]
-        p = sym_chern(d)
-        for k in range(1, 4):
-            c.append(sum(v for e, v in p.terms.items() if e[0] == k))
+        c = _sym_chern_coeffs(d)
         s = segre_coeffs(d, 5)
         for t in range(1, 6):
             total = sum(c[j] * s[t - j] for j in range(0, min(3, t) + 1))

@@ -313,7 +313,7 @@ def lifted_sums(units) -> list[dict]:
     parts = [_plane_integrals(*unit) for unit in units]
     return [
         {
-            key: sum(Fraction(at[j].get(key, 0), dens[key[0]]) for dens, at in parts)
+            key: sum(Fraction(at[j].get(key, 0), den) for den, at in parts)
             for key in dict.fromkeys(key for _, at in parts for key in at[j])
         }
         for j in range(len(parts[0][1]))
@@ -443,9 +443,20 @@ def test_verify_compares_every_degree_and_i(monkeypatch):
         nodal_counts(2, (3, 4, 5), verify=True)
 
 
+@pytest.mark.parametrize(
+    "mode, ds",
+    [(P3, (4, 4, *range(5, 13))), (P2_FIXED, (3, 4, 3, *range(5, 10)))],
+    ids=["p3", "p2"],
+)
+def test_repeated_degrees_give_the_one_degree_counts(mode, ds):
+    # each degree is evaluated once: a repeat among the first E degrees
+    # would be a repeated interpolation node (E = 7 in p3, 5 in p2)
+    assert nodal_counts(2, ds, mode).values == tuple(count_nodal(2, d, mode) for d in ds)
+
+
 def test_a_non_integer_count_raises(monkeypatch):
-    # the BPS combination is summed over one denominator; a third added to
-    # the top integral, whose weight is 1, leaves a remainder at that degree
+    # the BPS combination is summed in fractions; a third added to the top
+    # integral, whose weight is 1, leaves a non-integer at that degree
     real = localization.integrate
 
     def perturbed(spec, specialization, **kw):
@@ -622,12 +633,12 @@ def test_fixed_plane_lines_past_h_cubed_vanish(monkeypatch):
         (sums,) = lifted_sums(units)
         assert read_out(sums, dict.fromkeys(every, 1), s.i) == expected, k
     assert len(read) == 4
-    for lines in read:
-        assert [sorted(line) for line, _ in lines] == [
-            list(range(s.delta, s.delta + 2 * i + 1)) for i in range(s.i + 1)
+    for lines, _ in read:
+        assert sorted(lines) == [
+            (i, x) for i in range(s.i + 1) for x in every if x <= s.delta + 2 * i
         ]
-        assert all(c == 0 for line, _ in lines for x, c in line.items() if x > s.delta)
-        assert any(line[s.delta] for line, _ in lines)
+        assert all(c == 0 for (_, x), c in lines.items() if x > s.delta)
+        assert any(lines[i, s.delta] for i in range(s.i + 1))
 
 
 @pytest.mark.parametrize("mode", [P3, P2_FIXED])
@@ -652,13 +663,12 @@ def test_a_nonzero_line_past_h_cubed_raises(monkeypatch, mode, count):
     read_lines = localization._read_lines
 
     def bumped(top_alone):
-        def read(charts, lines, delta, top):
-            out = read_lines(charts, lines, delta, top)
-            for i, (line, _) in enumerate(out):
-                for x in line:
-                    if x > delta and (x == delta + 2 * i == top or not top_alone):
-                        line[x] += 1
-            return out
+        def read(charts, xs, delta, top):
+            lines, common = read_lines(charts, xs, delta, top)
+            for i, x in lines:
+                if x > delta and (x == delta + 2 * i == top or not top_alone):
+                    lines[i, x] += 1
+            return lines, common
 
         return read
 
@@ -702,7 +712,6 @@ def unlifted_planes(spec: IntegrandSpec, sp: Specialization) -> list:
     top = delta + 2 * size
     exponents = localization._tangent_exponents(size)
     cells = [(a, b) for a in range(size) for b in range(size // (a + 1))]
-    every = [list(range(delta + 2 * i + 1)) for i in range(size + 1)]
     planes = []
     for k in range(4):
         charts = []
@@ -711,10 +720,10 @@ def unlifted_planes(spec: IntegrandSpec, sp: Specialization) -> list:
             factors = localization._chern_factors(tangents, size)
             weights = {cell: value(taut_cell_weight(k, m, cell, spec.d)) for cell in cells}
             charts.append(localization._chart_series(weights, factors, top + 1, top + 1, top))
-        lines = [
-            {x: Fraction(n, common) for x, n in coefficients.items()}
-            for coefficients, common in localization._read_lines(charts, every, delta, top)
-        ]
+        coefficients, common = localization._read_lines(charts, range(top + 1), delta, top)
+        lines = [{} for _ in range(size + 1)]
+        for (i, x), n in coefficients.items():
+            lines[i][x] = Fraction(n, common)
         euler = prod(value(w) for w in gr_tangent_weights(k))
         planes.append((value(h_weight(k)), euler, lines))
     return planes
@@ -902,8 +911,8 @@ def test_a_line_coefficient_of_degree_E_in_d_raises(monkeypatch):
             lines = read_lines(*args)
             t = ts[len(calls) % len(ts)]
             calls.append(t)
-            coefficients, _ = lines[-1]
-            coefficients[min(coefficients)] += t**power
+            coefficients, _ = lines
+            coefficients[min(key for key in coefficients if key[0] == spec.i)] += t**power
             return lines
 
         return read

@@ -2,6 +2,8 @@
 commit, without running the benchmark."""
 
 import importlib.util
+import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,24 @@ def test_export_writes_the_tree_of_a_commit(tmp_path):
 def test_a_ref_that_cannot_be_exported_exits_2(capsys):
     assert pairs.main(["no-such-ref-x9", "--workload", "count-deep", "--pairs", "1"]) == 2
     assert "no-such-ref-x9" in capsys.readouterr().err
+
+
+def test_each_run_reads_bytecode_from_a_fresh_empty_prefix(monkeypatch, tmp_path):
+    # PYTHONDONTWRITEBYTECODE alone still lets a stale __pycache__ be read
+    seen = []
+
+    def run(argv, cwd, env, **_):
+        prefix = Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((prefix, prefix.is_dir() and not any(prefix.iterdir())))
+        assert env["PYTHONDONTWRITEBYTECODE"] == "1"
+        (prefix / "stale.pyc").write_bytes(b"")  # gone before the next run
+        line = json.dumps({"correct": True, "metrics": {"wall_s": {"value": 0.1}}})
+        return subprocess.CompletedProcess(argv, 0, stdout=line + "\n", stderr="")
+
+    monkeypatch.setenv("PYTHONPYCACHEPREFIX", os.fspath(tmp_path))
+    monkeypatch.setattr(pairs.subprocess, "run", run)
+    for _ in range(2):
+        assert pairs.run_bench(tmp_path, "count-deep", 1, 0.0) == {"wall_s": 0.1}
+    assert [empty for _, empty in seen] == [True, True]
+    assert seen[0][0] != seen[1][0] and tmp_path not in {prefix for prefix, _ in seen}
+    assert not any(prefix.exists() for prefix, _ in seen)

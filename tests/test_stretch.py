@@ -1,9 +1,10 @@
 """Stretch validation beyond the acceptance targets.
 
 The delta=6 spot values (about 0.1 s each), the delta=5 polynomial
-reconstruction (about 0.3 s) and Goettsche's check of the fixed-plane
-polynomials for delta <= 10 (5-8 s, most of it the delta = 9 and 10
-polynomials), timed on 2 cores, run in every test run.
+reconstruction (about 0.3 s), the delta=7 polynomial with verify on (about
+2.5 s) and Goettsche's check of the fixed-plane polynomials for delta <= 10
+(5-8 s, most of it the delta = 9 and 10 polynomials), timed on 2 cores, run
+in every test run.
 """
 
 import pytest
@@ -19,6 +20,29 @@ from severi.unipoly import UniPoly
 def test_delta5_polynomial_matches_reference():
     rec = node_polynomial(5, jobs=default_jobs())
     assert rec.ordered_polynomial() == ORDERED_REFERENCE[5]
+
+
+# The p3 delta = 7 node polynomial as this package computed it, ascending
+# coefficients.  A regression pin, not an independent check: no reference
+# outside this package reaches delta = 7, so it guards a change to the
+# evaluator beyond the delta <= 6 references, but it cannot tell a wrong
+# polynomial that was pinned from a right one.
+DELTA7_PIN = (
+    "-2257799880", "6863210679", "-969912531241/140", "4220444911511/2520",
+    "1414383467909/1008", "-18688160346187/30240", "-6787284497981/30240",
+    "223523023139/2880", "3506892852821/60480", "-20133690323/2160",
+    "-224154325181/20160", "22294947557/15120", "77840061643/60480",
+    "-737046551/4032", "-70257793/756", "875704283/60480", "9540513/2240",
+    "-804353/1120", "-270579/2240", "36529/1680", "867/448", "-165/448",
+    "-3/224", "3/1120",
+)
+
+
+def test_delta7_polynomial_equals_its_regression_pin():
+    rec = node_polynomial(7, verify=True, jobs=default_jobs())
+    assert tuple(rec.polynomial.to_coeff_strings()) == DELTA7_PIN
+    assert (rec.sample_ds, rec.check_ds) == (tuple(range(8, 32)), (32, 33))
+    assert rec.verified
 
 
 @pytest.mark.parametrize("d", [5, 6])

@@ -166,10 +166,34 @@ MUTANTS = (
     Mutant(
         "plane-sum-wrong-denominator",
         LOCALIZATION,
-        "zip(denominators, dens)]",
-        "zip(denominators, parts[0][0])]",
+        "scale = denominator // den",
+        "scale = denominator // parts[0][0]",
         "each plane's lines are scaled to the common denominator by their own plane's",
         ("tests/test_localization.py",),
+    ),
+    Mutant(
+        "read-bound-strict",
+        LOCALIZATION,
+        "            if e >= 0:",
+        "            if e > 0:",
+        "a plane unit reads every line x <= delta + 2i, eps-degree 0 included",
+        ("tests/test_localization.py",),
+    ),
+    Mutant(
+        "count-integrality-ignored",
+        LOCALIZATION,
+        "if count.denominator != 1:",
+        "if False:",
+        "a count whose BPS sum is not an integer raises",
+        ("tests/test_localization.py::test_a_non_integer_count_raises",),
+    ),
+    Mutant(
+        "degrees-not-deduplicated",
+        LOCALIZATION,
+        "degrees = tuple(dict.fromkeys((spec.d,) if degrees is None else degrees))",
+        "degrees = tuple((spec.d,) if degrees is None else degrees)",
+        "integrate evaluates a repeated degree once",
+        ("tests/test_localization.py::test_repeated_degrees_give_the_one_degree_counts",),
     ),
     Mutant(
         "last-degree-interpolated",

@@ -8,7 +8,8 @@ runs ``bench/run.py --workload W --seed k --seconds S --trace 0`` in that
 tree and in this checkout's working tree for k = 1..N, one pair per seed,
 alternating which tree runs first (the parent for odd k).  On a shared
 machine single runs are noise, and interleaving spreads its drift over both
-sides.
+sides.  Each run gets a fresh, empty bytecode cache directory, so neither
+side reads bytecode left in its tree.
 
 For each end-to-end metric of ``BENCHMARK.json`` it prints the parent's and
 the change's medians, the parent's interquartile range and the pairs in
@@ -41,7 +42,11 @@ def run_bench(tree: Path, workload: str, seed: int, seconds: float) -> dict | No
     argv += ["--seconds", str(seconds), "--trace", "0"]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
-    done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
+    # DONTWRITEBYTECODE does not stop a stale __pycache__ in the tree from
+    # being read; an empty prefix makes every run compile from source
+    with tempfile.TemporaryDirectory(prefix="severi-pycache-") as cache:
+        env["PYTHONPYCACHEPREFIX"] = cache
+        done = subprocess.run(argv, cwd=tree, env=env, capture_output=True, text=True)
     try:
         result = json.loads(done.stdout.strip().splitlines()[-1])
     except (IndexError, ValueError):
